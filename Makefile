@@ -8,13 +8,15 @@ BENCH_COUNT ?= 5
 BENCH_TIME  ?= 200ms
 BENCH_PKGS  ?= ./internal/tensor/... ./internal/nn/... ./internal/models/...
 
-.PHONY: check vet build test race bench bench-all benchcmp models dash gateway
+.PHONY: check vet build test race bench bench-all benchcmp benchab models dash gateway
 
 # check runs everything CI should gate on: vet, a full build, the full
 # test suite (tier-1), and race-detector runs for the concurrency-heavy
 # packages (the serving path, the scheduler, the multi-backend router,
 # the load drivers, their metrics, and the engine's parallel GEMM /
-# shared-plan paths).
+# shared-plan paths). race first repeats the aggregator hand-off and
+# admission tests twenty times on one and on four procs: they hold the
+# batching rule's orderings, which a single pass can get right by luck.
 check: vet build test race
 
 # vet is static analysis plus a formatting gate: gofmt -l prints the
@@ -31,6 +33,8 @@ test:
 	$(GO) test ./...
 
 race:
+	GOMAXPROCS=1 $(GO) test -race -count=20 -run 'TestAggregator|TestAdmission|TestPastDeadline' ./internal/service ./internal/sched
+	GOMAXPROCS=4 $(GO) test -race -count=20 -run 'TestAggregator|TestAdmission|TestPastDeadline' ./internal/service ./internal/sched
 	$(GO) test -race ./internal/tensor/... ./internal/nn/... ./internal/models/... ./internal/modelstore/... ./internal/service/... ./internal/sched/... ./internal/metrics/... ./internal/router/... ./internal/workload/... ./internal/trace/... ./internal/admin/... ./internal/controlplane/... ./internal/timeseries/... ./internal/events/... ./internal/alerts/... ./internal/gateway/... ./internal/pipeline/...
 
 # dash is an observability smoke test: the obsfleet experiment stands
@@ -99,3 +103,15 @@ benchcmp:
 		echo "--- $(BENCH_REF)"; cat "$$tmp/old.txt"; \
 		echo "--- working tree"; cat "$$tmp/new.txt"; \
 	fi
+
+# benchab runs the repository benchmark (BENCHMARK.json, bench/) as a
+# paired A/B: REF's committed files against the working tree, ten
+# alternating pairs per workload with a fresh seed per pair, and prints
+# per metric each side's median and quartiles, the tree's wins and a
+# verdict (claimable / within bound / unresolved / REGRESSED). W limits
+# it to one workload; a full run takes about 45 minutes. See
+# cmd/benchab.
+# Example: make benchab REF=HEAD^ W=nlp_djrt_closed
+REF ?= HEAD^
+benchab:
+	$(GO) run ./cmd/benchab -ref $(REF) $(if $(W),-workload $(W))

@@ -375,9 +375,9 @@ func writeSchedMetrics(w io.Writer, opts Options) {
 		name, help string
 		v          func(sched.Info) float64
 	}{
-		{"djinn_sched_batch_size", "Current adaptive batch size in instances.",
+		{"djinn_sched_batch_size", "Current adaptive batch cap in instances.",
 			func(i sched.Info) float64 { return float64(i.Batch) }},
-		{"djinn_sched_window_seconds", "Current adaptive flush window.",
+		{"djinn_sched_window_seconds", "Current bound on a batch's wait for its MinBatchInstances floor.",
 			func(i sched.Info) float64 { return i.Window.Seconds() }},
 		{"djinn_sched_slo_seconds", "Declared p99 latency SLO.",
 			func(i sched.Info) float64 { return i.SLO.Seconds() }},

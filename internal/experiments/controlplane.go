@@ -34,8 +34,8 @@ type ControlPlaneResult struct {
 	Metrics       controlplane.Metrics
 }
 
-// cpNet is the serving payload model: small enough that the batch
-// window, not the forward pass, bounds a replica.
+// cpNet is the serving payload model: a forward pass of microseconds,
+// so the offered rate, never a replica's capacity, sets the load.
 func cpNet(seed uint64) *nn.Net {
 	rng := tensor.NewRNG(seed)
 	n := nn.NewNet("cp", nn.KindDNN, 8)

@@ -25,10 +25,14 @@ import (
 // The gateway experiment measures what the HTTP/JSON tier adds on top
 // of the raw DJRT fleet: (a) the content-addressed response cache
 // serving a repeating NLP query population at a large multiple of the
-// uncached rate, and (b) the server-side ASR→POS→NER pipeline beating
+// uncached rate, and (b) the server-side ASR→POS→NER pipeline against
 // three sequential client round-trips — the POS and NER stages share
 // the transcript server-side and run concurrently, so the composite
-// pays one HTTP exchange and two batch windows instead of three each.
+// pays one HTTP exchange instead of three and the shorter of the two
+// NLP forward passes not at all. Both are wall-clock comparisons, so
+// the report records them and no test asserts them: the pipeline's
+// saving is a few per cent of a query that is almost all ASR forward
+// pass, within that pass's run-to-run spread on short utterances.
 
 // GatewayOptions sizes the experiment; RenderGateway uses the
 // defaults, the acceptance test shrinks them.
@@ -313,7 +317,7 @@ func RenderGateway() string {
 	if res.Cache.Hits+res.Cache.Misses > 0 {
 		hitRate = 100 * float64(res.Cache.Hits) / float64(res.Cache.Hits+res.Cache.Misses)
 	}
-	fmt.Fprintf(&b, "\ncache speedup: %.1fx (hit rate %.1f%%, %d entries, %d fills, %d bytes)\n",
+	fmt.Fprintf(&b, "\ncache speedup: %.1fx cached/uncached qps, recorded not asserted (hit rate %.1f%%, %d entries, %d fills, %d bytes)\n",
 		res.Speedup, hitRate, res.Cache.Entries, res.Cache.Fills, res.Cache.Bytes)
 
 	fmt.Fprintf(&b, "\nPart (b): ASR→POS→NER composite, %.2fs utterances, %d iterations\n",
@@ -322,8 +326,8 @@ func RenderGateway() string {
 	t2.add("3 round-trips", res.SeqP50.Round(time.Millisecond).String(), res.SeqP95.Round(time.Millisecond).String())
 	t2.add("/v1/pipeline", res.PipeP50.Round(time.Millisecond).String(), res.PipeP95.Round(time.Millisecond).String())
 	b.WriteString(t2.String())
-	fmt.Fprintf(&b, "\npipeline wins by %v median per-utterance (one HTTP exchange, POS∥NER off the shared transcript)\n",
-		res.MedianDelta.Round(time.Millisecond))
+	fmt.Fprintf(&b, "\nmedian per-utterance gap, sequential − pipeline: %v, recorded not asserted (one HTTP exchange, POS∥NER off the shared transcript)\n",
+		res.MedianDelta.Round(100*time.Microsecond))
 	fmt.Fprintf(&b, "\nmerged trace (%d stage spans across gateway/router/replica tiers):\n%s", res.StageSpans, res.Merged)
 	return b.String()
 }

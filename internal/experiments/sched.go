@@ -48,7 +48,7 @@ func schedNet(seed uint64, fixed, per time.Duration) *nn.Net {
 // SchedConfig is one contender in the scheduler sweep: a name and the
 // AppConfig every replica registers the bench model under. A config
 // with App.SLO > 0 runs the adaptive scheduler; otherwise it is one of
-// the paper's static BatchInstances/BatchWindow choices.
+// the static BatchInstances caps.
 type SchedConfig struct {
 	Name string
 	App  service.AppConfig
@@ -65,8 +65,8 @@ type SchedCell struct {
 	// config loses queries under overload. Router retries mean one
 	// client-visible shed can appear as rejects on several replicas.
 	Stats  service.Stats
-	Batch  int           // adaptive: live batch size after the run (0 static)
-	Window time.Duration // adaptive: live flush window after the run
+	Batch  int           // adaptive: live batch cap after the run (0 static)
+	Window time.Duration // adaptive: live floor-wait window after the run
 	// Sustainable: the config held the p99 SLO while serving ≥99% of
 	// offered queries. Deadline expiry censors the p99 of what *was*
 	// served, so the goodput bound is what makes the check honest.
@@ -201,15 +201,15 @@ func SchedSweep(cfgs []SchedConfig, opts SchedSweepOptions) []SchedCell {
 	return cells
 }
 
-// SchedContenders is the sweep's standard field: the paper's static
-// batch choices — each window sized to fill its batch at moderate
-// load, the tuning a fixed config forces you to commit to — against
+// SchedContenders is the sweep's standard field: static batch caps —
+// how large a batch may grow while its worker is busy, the one thing a
+// static config commits to under work-conserving batching — against
 // the adaptive scheduler declaring only an SLO.
 func SchedContenders(slo time.Duration) []SchedConfig {
 	return []SchedConfig{
-		{"static-1", service.AppConfig{BatchInstances: 1, BatchWindow: time.Millisecond, Workers: 1}},
-		{"static-8", service.AppConfig{BatchInstances: 8, BatchWindow: 8 * time.Millisecond, Workers: 1}},
-		{"static-32", service.AppConfig{BatchInstances: 32, BatchWindow: 32 * time.Millisecond, Workers: 1}},
+		{"static-1", service.AppConfig{BatchInstances: 1, Workers: 1}},
+		{"static-8", service.AppConfig{BatchInstances: 8, Workers: 1}},
+		{"static-32", service.AppConfig{BatchInstances: 32, Workers: 1}},
 		{"adaptive", service.AppConfig{BatchInstances: 64, Workers: 1, SLO: slo}},
 	}
 }
@@ -243,7 +243,7 @@ func RenderSched() string {
 		Fixed:       4 * time.Millisecond,
 		Per:         800 * time.Microsecond,
 	})
-	out := "Extension: SLO-aware scheduler — adaptive batch/window + admission control vs static configs\n"
+	out := "Extension: SLO-aware scheduler — adaptive batch cap + admission control vs static caps\n"
 	out += fmt.Sprintf("(3-replica fleet, batch-paced model: 4ms launch + 0.8ms/instance, p99 SLO %s, client deadline 1.2x SLO, open-loop Poisson)\n", slo)
 	t := &table{header: []string{"config", "offered q/s", "ok", "p99", "SLO att", "shed_adm", "shed_exp", "batch", "sustained"}}
 	for _, c := range cells {
@@ -288,10 +288,12 @@ func RenderSched() string {
 		out += fmt.Sprintf("best static (%s) sustains %.0f q/s; adaptive sustains %.0f q/s — %.2fx\n",
 			bestStaticName, bestStatic, adaptive, adaptive/bestStatic)
 	}
-	out += "(a static config commits to one batch/window point on the latency-throughput\n" +
-		" frontier: small batches forfeit launch amortisation, big windows burn the SLO\n" +
-		" on assembly wait. The scheduler walks the frontier — batch grows only while\n" +
-		" p99 holds — and past fleet capacity its admission controller rejects before\n" +
-		" the queue (shed_adm, not shed_exp), so what it serves still meets the SLO)\n"
+	out += "(batching is work-conserving, so a cap binds only while the worker is busy: a\n" +
+		" generous static cap sizes its batches by load and walks the latency-throughput\n" +
+		" frontier by itself, and a small one is just a capacity limit — it forfeits\n" +
+		" launch amortisation exactly when the replica saturates. What the scheduler adds\n" +
+		" shows past fleet capacity: its admission controller rejects before the queue\n" +
+		" (shed_adm, not shed_exp), so what it serves still meets the SLO where a static\n" +
+		" config's queue collapses)\n"
 	return out
 }

@@ -53,6 +53,9 @@ func (c Config) withDefaults() Config {
 	if c.AIMD.SLO == 0 {
 		c.AIMD.SLO = c.SLO
 	}
+	if c.AIMD.Min <= 0 {
+		c.AIMD.Min = 1
+	}
 	if c.AIMD.Max == 0 {
 		c.AIMD.Max = c.MaxBatch
 	}
@@ -71,13 +74,15 @@ const ewmaAlpha = 0.125
 
 // Controller runs one application's scheduling feedback loop. The
 // serving path calls Admit before enqueue, Dropped for admitted
-// queries that die before execution, ObserveBatch after each forward
-// pass, and Complete per answered query; BatchSize and Window replace
-// the app's static aggregation parameters.
+// queries that die before execution, Started when a worker takes a
+// batch, ObserveBatch and Executed after its forward pass, and Complete
+// per answered query; BatchSize and Window replace the app's static
+// aggregation parameters.
 type Controller struct {
 	cfg Config
 
 	queued   atomic.Int64 // instances admitted but not yet executed
+	running  atomic.Int64 // of those, instances in batches a worker holds
 	admitted atomic.Int64 // queries past admission
 	rejected atomic.Int64 // queries refused at admission
 	pressure atomic.Int64 // rejections since the last AIMD step
@@ -106,14 +111,18 @@ func (c *Controller) SLO() time.Duration { return c.cfg.SLO }
 // Priority returns the app's tenant class.
 func (c *Controller) Priority() Priority { return c.cfg.Priority }
 
-// BatchSize returns the current effective batch size in instances.
+// BatchSize returns the current cap on a batch, in instances. Batching
+// is work-conserving (a free worker takes whatever is pending), so this
+// is the size a batch grows to while every worker is busy, not a size
+// it waits for.
 func (c *Controller) BatchSize() int {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return c.aimd.Batch()
 }
 
-// Window returns the current flush window.
+// Window returns the current bound on a batch's wait for the AIMD
+// floor (Config.AIMD.Min instances).
 func (c *Controller) Window() time.Duration {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -122,18 +131,25 @@ func (c *Controller) Window() time.Duration {
 
 // estimate computes the delay a query of n instances would see if
 // admitted now: everything already admitted plus itself must drain
-// through the worker pool at the observed per-instance service time,
-// and the query may wait up to one flush window for its batch to
-// assemble. The two overlap — workers chew the backlog while the new
-// query's batch fills — so the estimate is the slower of the two, not
-// their sum (summing parks the estimate at the admission threshold at
-// perfectly healthy utilization). perInstNS and window are passed in
-// by the caller holding the lock (Admit) or reading a snapshot
-// (Snapshot).
+// through the worker pool at the observed per-instance service time.
+//
+// The window is a delay only for a query that would wait on it, and
+// batching is work-conserving: a worker takes the pending batch as soon
+// as it is free unless the batch is still below the floor. So the
+// window is charged only when the pending batch, this query included,
+// is below the floor — then the query may wait the window out, and
+// since workers chew the backlog while it does, the estimate is the
+// slower of the two, not their sum (summing parks the estimate at the
+// admission threshold at perfectly healthy utilization). With the floor
+// met there is no timer in the query's way: on an idle replica it is
+// served in one forward pass, on a busy one it waits for a worker,
+// which is the backlog term. perInstNS and window are passed in by the
+// caller holding the lock (Admit) or reading a snapshot (Snapshot).
 func (c *Controller) estimate(perInstNS float64, window time.Duration, n int) time.Duration {
 	queued := c.queued.Load()
 	work := time.Duration((float64(queued) + float64(n)) * perInstNS / float64(c.cfg.Workers))
-	if work > window {
+	pending := queued - c.running.Load()
+	if pending+int64(n) >= int64(c.cfg.AIMD.Min) || work > window {
 		return work
 	}
 	return window
@@ -160,13 +176,22 @@ func (c *Controller) Admit(budget time.Duration, n int) (time.Duration, bool) {
 	return est, true
 }
 
-// Executed balances Admit for instances whose forward pass finished.
-// Settling at completion (not pickup) deliberately leaves the in-flight
-// batch in the queued account: its residual service time is real wait
-// for everything admitted behind it, and counting it fully errs on the
-// conservative side — an estimate that ignored it would admit queries
-// whose true delay lands past the SLO by up to one batch service.
-func (c *Controller) Executed(n int) { c.queued.Add(int64(-n)) }
+// Started records that a worker took a batch of n instances: until the
+// matching Executed they still count as queued work, but no longer
+// toward the pending batch's floor.
+func (c *Controller) Started(n int) { c.running.Add(int64(n)) }
+
+// Executed balances Admit and Started for a batch whose forward pass
+// ended (finished or failed). Settling at completion (not pickup)
+// deliberately leaves the in-flight batch in the queued account: its
+// residual service time is real wait for everything admitted behind
+// it, and counting it fully errs on the conservative side — an
+// estimate that ignored it would admit queries whose true delay lands
+// past the SLO by up to one batch service.
+func (c *Controller) Executed(n int) {
+	c.queued.Add(int64(-n))
+	c.running.Add(int64(-n))
+}
 
 // Dropped balances Admit for instances that died before execution
 // (expired at assembly, or failed by the shutdown drain).
@@ -227,8 +252,8 @@ func (c *Controller) recentP99Locked() time.Duration {
 type Info struct {
 	SLO      time.Duration
 	Priority Priority
-	Batch    int           // current effective batch size (instances)
-	Window   time.Duration // current flush window
+	Batch    int           // current batch cap (instances)
+	Window   time.Duration // current bound on the wait for the batch floor
 	Admitted int64         // queries past admission since start
 	Rejected int64         // queries refused at admission since start
 	Queued   int64         // instances admitted but not yet executed

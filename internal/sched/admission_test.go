@@ -78,6 +78,82 @@ func TestAdmissionRejectsOverBudget(t *testing.T) {
 	}
 }
 
+// TestAdmissionChargesWindowOnlyBelowFloor: the floor-wait window is
+// part of the delay estimate only for a query whose batch would still
+// be below the floor, the one case in which the aggregator holds a
+// batch back for the timer. With the floor met a query whose budget is
+// under the window is served in one forward pass — or waits for a
+// worker, which is the backlog term — and must be admitted; the
+// controller used to refuse it.
+func TestAdmissionChargesWindowOnlyBelowFloor(t *testing.T) {
+	const (
+		slo     = 100 * time.Millisecond
+		window  = slo / 2 // pinned batch (Min == Max): AIMD's MaxWindow
+		perInst = 100 * time.Microsecond
+		budget  = 10 * time.Millisecond // well under the window, well over the work
+	)
+	cases := []struct {
+		name    string
+		floor   int // AIMD.Min, and MaxBatch: the batch is pinned
+		workers int
+		started []int // batches workers hold, in instances
+		pending int   // instances admitted and still waiting
+		n       int   // the query's instances
+		wantEst time.Duration
+		admit   bool
+	}{
+		{name: "no floor, idle replica", floor: 1, workers: 2, n: 1,
+			wantEst: perInst / 2, admit: true},
+		{name: "no floor, every worker busy", floor: 1, workers: 2, started: []int{4, 4}, n: 1,
+			wantEst: 9 * perInst / 2, admit: true},
+		{name: "query alone meets the floor", floor: 4, workers: 1, n: 4,
+			wantEst: 4 * perInst, admit: true},
+		{name: "query completes the floor", floor: 4, workers: 1, pending: 3, n: 1,
+			wantEst: 4 * perInst, admit: true},
+		{name: "batch still below the floor", floor: 4, workers: 1, pending: 1, n: 1,
+			wantEst: window, admit: false},
+		{name: "running instances do not count toward the floor", floor: 4, workers: 2, started: []int{4}, n: 1,
+			wantEst: window, admit: false},
+		{name: "below the floor, backlog above the window", floor: 4, workers: 1, started: []int{1000}, n: 1,
+			wantEst: 1001 * perInst, admit: false},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			c := NewController(Config{SLO: slo, Workers: tc.workers, MaxBatch: tc.floor,
+				AIMD: AIMDConfig{Min: tc.floor}})
+			if got := c.Window(); got != window {
+				t.Fatalf("window = %v, want %v", got, window)
+			}
+			// Cold admissions build the state, then one observation
+			// warms the service-time estimate.
+			for _, b := range tc.started {
+				c.Admit(slo, b)
+				c.Started(b)
+			}
+			if tc.pending > 0 {
+				c.Admit(slo, tc.pending)
+			}
+			c.ObserveBatch(perInst, 1)
+			est, ok := c.Admit(budget, tc.n)
+			if est != tc.wantEst || ok != tc.admit {
+				t.Fatalf("Admit = (%v, %v), want (%v, %v)", est, ok, tc.wantEst, tc.admit)
+			}
+			// Executed settles both accounts: what is left queued is what
+			// never reached a worker.
+			for _, b := range tc.started {
+				c.Executed(b)
+			}
+			want := int64(tc.pending)
+			if tc.admit {
+				want += int64(tc.n)
+			}
+			if got := c.Snapshot().Queued; got != want {
+				t.Fatalf("queued = %d after the running batches finished, want %d", got, want)
+			}
+		})
+	}
+}
+
 // TestAdmissionAccountsWorkers: the delay estimate divides the backlog
 // across the worker pool, so more workers admit deeper queues.
 func TestAdmissionAccountsWorkers(t *testing.T) {

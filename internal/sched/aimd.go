@@ -22,13 +22,15 @@ type AIMDConfig struct {
 	// the post-overload ceiling earn one probe step past it. Zero
 	// means 8.
 	ProbeAfter int
-	// MinWindow and MaxWindow bound the flush window derived from the
-	// batch size. Zero means 100µs and SLO/2: a window too small to
-	// assemble a batch at the offered load forfeits launch amortisation
-	// entirely (the effective batch collapses to whatever trickles in),
-	// so the ceiling must leave room to gather — the p99 feedback
-	// shrinks the batch, and with it the window, whenever that wait
-	// actually endangers the SLO.
+	// MinWindow and MaxWindow bound the floor-wait window derived from
+	// the batch size: how long a batch below Min instances may wait for
+	// the floor before a free worker takes it anyway. Zero means 100µs
+	// and SLO/2: when Min is raised because a batch below it forfeits
+	// launch amortisation, a window too small to gather Min instances
+	// at the offered load forfeits it just the same, so the ceiling
+	// must leave room to gather — the p99 feedback shrinks the batch,
+	// and with it the window, whenever that wait actually endangers the
+	// SLO.
 	MinWindow, MaxWindow time.Duration
 }
 
@@ -61,8 +63,9 @@ func (c AIMDConfig) withDefaults() AIMDConfig {
 }
 
 // AIMD is the adaptive batch controller: additive-increase /
-// multiplicative-decrease over the effective batch size, driven by
-// observed p99 latency against the SLO. It is a pure state machine —
+// multiplicative-decrease over the batch cap — the size a batch may
+// grow to while every worker is busy — driven by observed p99 latency
+// against the SLO. It is a pure state machine —
 // no clocks, no goroutines — so its convergence behaviour is testable
 // with synthetic latency sequences.
 //
@@ -85,13 +88,13 @@ func NewAIMD(cfg AIMDConfig) *AIMD {
 	return &AIMD{cfg: cfg, size: cfg.Min}
 }
 
-// Batch returns the current effective batch size in instances.
+// Batch returns the current batch cap in instances.
 func (a *AIMD) Batch() int { return a.size }
 
-// Window returns the flush window matching the current batch size:
-// linear between MinWindow and MaxWindow as the batch grows from Min
-// to Max. A small target batch flushes almost immediately (latency
-// recovery); a large one may wait longer to fill (throughput).
+// Window returns the floor-wait bound matching the current batch cap:
+// linear between MinWindow and MaxWindow as the cap grows from Min to
+// Max. A small cap gives up on the floor almost immediately (latency
+// recovery); a large one may wait longer for it (throughput).
 func (a *AIMD) Window() time.Duration {
 	if a.cfg.Max == a.cfg.Min {
 		return a.cfg.MaxWindow

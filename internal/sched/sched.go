@@ -1,7 +1,8 @@
 // Package sched is the SLO-aware decision tier between the DjiNN
 // protocol front-end and the NN runners. The paper picks one fixed
 // batch size and flush window per application at registration time;
-// this package replaces those constants with a feedback loop:
+// the serving path sizes each batch by load instead, and this package
+// puts a feedback loop on what is left to choose:
 //
 //   - Each application declares an SLO — a target p99 latency — and a
 //     tenant priority class (Config).
@@ -10,9 +11,12 @@
 //     the instances already admitted, and rejects queries that cannot
 //     meet their budget *before* they occupy queue capacity, instead
 //     of letting them rot until batch assembly notices the corpse.
-//   - An adaptive batch controller (AIMD) resizes the effective batch
-//     size and flush window within [1, MaxBatch] to hold observed p99
-//     at the SLO while maximizing instances per second.
+//   - An adaptive batch controller (AIMD) resizes the batch cap (and
+//     the bound on waiting for the batch floor) within [Min, MaxBatch]
+//     to hold observed p99 at the SLO while maximizing instances per
+//     second. The serving path batches work-conservingly — a free
+//     worker takes whatever is pending — so the cap only binds while
+//     every worker is busy.
 //   - A weighted priority gate (Gate) orders pending batch executions
 //     across applications so latency-critical tenants preempt
 //     throughput tenants when execution slots are contended.

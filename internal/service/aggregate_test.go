@@ -1,10 +1,15 @@
 package service
 
 import (
+	"context"
+	"errors"
+	"runtime"
 	"sync"
 	"testing"
 	"time"
 
+	"djinn/internal/nn"
+	"djinn/internal/tensor"
 	"djinn/internal/testutil"
 )
 
@@ -47,109 +52,310 @@ func inferN(t *testing.T, s *Server, n int) {
 	wg.Wait()
 }
 
-// TestAggregatorFlushPaths pins down the three ways a batch leaves the
-// aggregator: the pending instance count reaching BatchInstances, the
-// batch window expiring under a partial batch, and the drain on Close
-// running the batch still under assembly. Each case makes the other
-// two paths unreachable (a far-off window, an unreachable threshold)
-// so a pass proves the intended path fired.
-func TestAggregatorFlushPaths(t *testing.T) {
+// gateLayer is an identity layer the test drives by hand: every forward
+// pass reports its batch size on entered and then blocks until the test
+// sends on release, so "the worker is busy" is a state the test holds
+// for as long as it needs, not a duration it hopes outlasts a race.
+type gateLayer struct {
+	entered chan int // unbuffered: the worker waits for the test to look
+	release chan struct{}
+	quit    chan struct{} // closed at test end: a failed test must not wedge Close
+}
+
+func (l *gateLayer) Name() string                     { return "gate" }
+func (l *gateLayer) Kind() string                     { return "gate" }
+func (l *gateLayer) OutShape(in []int) ([]int, error) { return in, nil }
+func (l *gateLayer) Forward(ctx *nn.Ctx, in, out *tensor.Tensor) {
+	copy(out.Data(), in.Data())
+	select {
+	case l.entered <- in.Dim(0):
+	case <-l.quit:
+		return
+	}
+	select {
+	case <-l.release:
+	case <-l.quit:
+	}
+}
+func (l *gateLayer) Params() []*nn.Param                                     { return nil }
+func (l *gateLayer) Kernels(in []int, batch int, ks []nn.Kernel) []nn.Kernel { return ks }
+
+// gated is one app on an in-process server whose forward pass the test
+// gates. Queries enter through enqueue, the aggregator's own inbox, so
+// the test knows each one is queued when submit returns.
+type gated struct {
+	t     *testing.T
+	s     *Server
+	a     *app
+	layer *gateLayer
+	sent  []*request
+}
+
+func newGated(t *testing.T, cfg AppConfig) *gated {
+	t.Helper()
+	testutil.NoLeaks(t)
+	layer := &gateLayer{entered: make(chan int), release: make(chan struct{}), quit: make(chan struct{})}
+	s := NewServer()
+	s.SetLogger(silence)
+	if err := s.Register("gate", nn.NewNet("gate", nn.KindDNN, 8).Add(layer), cfg); err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(s.Close)
+	t.Cleanup(func() { close(layer.quit) }) // runs first
+	a, _ := s.app("gate")
+	return &gated{t: t, s: s, a: a, layer: layer}
+}
+
+// submit enqueues one single-instance query whose payload names it, and
+// returns the enqueue error (nil, or the MaxPending shed).
+func (g *gated) submit() error {
+	in := make([]float32, 8)
+	in[0] = float32(len(g.sent))
+	req := &request{ctx: context.Background(), in: in, instances: 1, enqueued: time.Now(), resp: make(chan result, 1)}
+	if err := g.a.enqueue(req); err != nil {
+		return err
+	}
+	g.sent = append(g.sent, req)
+	return nil
+}
+
+// admitted submits n queries, each once the aggregator has taken the
+// one before off the queue, so none is shed and all n are in the
+// pending batch on return.
+func (g *gated) admitted(n int) {
+	g.t.Helper()
+	for i := 0; i < n; i++ {
+		if err := g.submit(); err != nil {
+			g.t.Fatalf("submit: %v", err)
+		}
+		g.settle()
+	}
+}
+
+// settle waits until the aggregator has emptied the queue into the
+// pending batch. Only call it while the batch has room: at its cap the
+// aggregator stops reading.
+func (g *gated) settle() {
+	g.t.Helper()
+	for deadline := time.Now().Add(10 * time.Second); len(g.a.reqCh) > 0; runtime.Gosched() {
+		if time.Now().After(deadline) {
+			g.t.Fatal("aggregator stopped reading its queue")
+		}
+	}
+}
+
+// batch waits for the next forward pass, checks its size, and lets it
+// finish.
+func (g *gated) batch(want int) {
+	g.t.Helper()
+	g.hold(want)
+	g.layer.release <- struct{}{}
+}
+
+// hold waits for the next forward pass and leaves its worker blocked.
+func (g *gated) hold(want int) {
+	g.t.Helper()
+	select {
+	case got := <-g.layer.entered:
+		if got != want {
+			g.t.Fatalf("batch of %d instances, want %d", got, want)
+		}
+	case <-time.After(10 * time.Second):
+		g.t.Fatalf("no batch reached a worker (want one of %d)", want)
+	}
+}
+
+// answers collects every submitted query's response — each has exactly
+// one, and a successful one is the query's own payload back — and
+// returns how many succeeded and how many the drain failed.
+func (g *gated) answers() (ok, drained int) {
+	g.t.Helper()
+	for i, req := range g.sent {
+		select {
+		case res := <-req.resp:
+			switch {
+			case res.err == nil:
+				if len(res.out) != 8 || res.out[0] != float32(i) {
+					g.t.Errorf("query %d got %v, want its own payload back", i, res.out)
+				}
+				ok++
+			case errors.Is(res.err, ErrShuttingDown):
+				drained++
+			default:
+				g.t.Errorf("query %d: %v", i, res.err)
+			}
+		case <-time.After(10 * time.Second):
+			g.t.Fatalf("query %d never answered", i)
+		}
+		if len(req.resp) != 0 {
+			g.t.Errorf("query %d answered twice", i)
+		}
+	}
+	return ok, drained
+}
+
+// TestAggregatorWorkConserving pins the batching rule with a forward
+// pass the test gates: a pending batch goes to a worker the moment one
+// is free, grows (up to the cap) only while none is, and waits on the
+// timer only for the MinBatchInstances floor. Every window below that
+// must not be waited on is an hour, so waiting on it fails the case.
+func TestAggregatorWorkConserving(t *testing.T) {
 	cases := []struct {
 		name string
 		cfg  AppConfig
-		run  func(t *testing.T, s *Server)
-		// counter expectations; max values of 0 mean "equal to min"
-		minBatches, maxBatches int64
-		queries                int64
+		run  func(t *testing.T, g *gated)
+		// expected counters once every query is answered
+		ok, drained, batches, shed, timerArms int64
 	}{
 		{
-			// Four single-instance queries exactly fill BatchInstances;
-			// the window is a minute away, so the only way these queries
-			// can complete promptly is the batch-full flush.
-			name: "batch-full",
-			cfg:  AppConfig{BatchInstances: 4, BatchWindow: time.Minute, Workers: 1},
-			run: func(t *testing.T, s *Server) {
-				start := time.Now()
-				inferN(t, s, 4)
-				if d := time.Since(start); d > 30*time.Second {
-					t.Fatalf("batch-full flush took %v; window flush suspected", d)
+			// An idle replica: each query leaves alone and at once, the
+			// 64-instance cap and the window notwithstanding, and the
+			// timer is never armed.
+			name: "idle-batch-of-one",
+			cfg:  AppConfig{BatchInstances: 64, BatchWindow: time.Hour, Workers: 2},
+			run: func(t *testing.T, g *gated) {
+				for i := 0; i < 3; i++ {
+					g.admitted(1)
+					g.batch(1)
 				}
 			},
-			minBatches: 1, maxBatches: 1, queries: 4,
+			ok: 3, batches: 3,
 		},
 		{
-			// Two queries can never reach a 1000-instance threshold; only
-			// the window timer can release them.
-			name: "window-timeout",
-			cfg:  AppConfig{BatchInstances: 1000, BatchWindow: 25 * time.Millisecond, Workers: 1},
-			run: func(t *testing.T, s *Server) {
-				start := time.Now()
-				inferN(t, s, 2)
-				if d := time.Since(start); d < 20*time.Millisecond {
-					t.Fatalf("responses after %v, before the 25ms window could expire", d)
+			// Cross-request batching: what queues behind a busy worker
+			// leaves as one batch when the worker comes free.
+			name: "queued-behind-busy-worker-leave-together",
+			cfg:  AppConfig{BatchInstances: 64, BatchWindow: time.Hour, Workers: 1},
+			run: func(t *testing.T, g *gated) {
+				g.admitted(1)
+				g.hold(1)
+				g.admitted(5)
+				g.layer.release <- struct{}{}
+				g.batch(5)
+			},
+			ok: 6, batches: 2,
+		},
+		{
+			// At the cap the aggregator stops reading, the queue behind it
+			// fills to MaxPending, and the next query is shed.
+			name: "cap-reached-while-busy-sheds",
+			cfg:  AppConfig{BatchInstances: 3, BatchWindow: time.Hour, Workers: 1, MaxPending: 2},
+			run: func(t *testing.T, g *gated) {
+				g.admitted(1)
+				g.hold(1)
+				g.admitted(3) // the pending batch, now at its cap
+				for i := 0; i < 2; i++ {
+					if err := g.submit(); err != nil {
+						t.Fatalf("query %d behind a full batch: %v", i, err)
+					}
 				}
-			},
-			// The two arrivals may straddle a window boundary.
-			minBatches: 1, maxBatches: 2, queries: 2,
-		},
-		{
-			// Neither threshold (1000) nor window (a minute) can fire;
-			// Close's drain must flush the batch under assembly, and the
-			// paper-faithful guarantee is that those queries still run to
-			// completion rather than failing.
-			name: "drain-on-close",
-			cfg:  AppConfig{BatchInstances: 1000, BatchWindow: time.Minute, Workers: 1},
-			run: func(t *testing.T, s *Server) {
-				done := make(chan struct{})
-				go func() { defer close(done); inferN(t, s, 3) }()
-				// Give the queries time to pool inside the aggregator.
-				time.Sleep(50 * time.Millisecond)
-				s.Close()
-				select {
-				case <-done:
-				case <-time.After(10 * time.Second):
-					t.Fatal("drain did not release pooled queries")
+				if n := len(g.a.reqCh); n != 2 {
+					t.Fatalf("%d queries queued behind a full batch, want 2: the aggregator kept admitting past the cap", n)
 				}
+				if err := g.submit(); !errors.Is(err, ErrOverloaded) {
+					t.Fatalf("query past MaxPending returned %v, want ErrOverloaded", err)
+				}
+				g.layer.release <- struct{}{}
+				g.hold(3)
+				g.settle() // room again: the two queued queries move up
+				g.layer.release <- struct{}{}
+				g.batch(2)
 			},
-			minBatches: 1, maxBatches: 1, queries: 3,
+			ok: 6, batches: 3, shed: 1,
 		},
 		{
-			// Partial batches under load: 16 workers race the aggregator,
-			// so flushes interleave threshold hits with window expiries of
-			// whatever is pending. The exact batch count is timing-
-			// dependent; the invariants are not.
-			name: "partial-batch-under-load",
-			cfg:  AppConfig{BatchInstances: 4, BatchWindow: 5 * time.Millisecond, Workers: 2},
-			run: func(t *testing.T, s *Server) {
-				inferN(t, s, 16)
+			// A floor holds the batch back from an idle worker until it
+			// is met: the first forward pass the worker reports is all
+			// three queries, not the first one.
+			name: "floor-waits-for-floor",
+			cfg:  AppConfig{BatchInstances: 8, MinBatchInstances: 3, BatchWindow: time.Hour, Workers: 1},
+			run: func(t *testing.T, g *gated) {
+				g.admitted(3)
+				g.batch(3)
 			},
-			minBatches: 4, maxBatches: 16, queries: 16,
+			ok: 3, batches: 1, timerArms: 1,
+		},
+		{
+			// ... or until the window has passed, the one wait the timer
+			// still bounds.
+			name: "floor-waits-for-window",
+			cfg:  AppConfig{BatchInstances: 8, MinBatchInstances: 3, BatchWindow: time.Millisecond, Workers: 1},
+			run: func(t *testing.T, g *gated) {
+				g.admitted(1)
+				g.batch(1)
+			},
+			ok: 1, batches: 1, timerArms: 1,
+		},
+		{
+			// Close while the aggregator is offering a batch no worker is
+			// free to take, with stragglers queued behind it: the offered
+			// batch still runs, and every query is answered exactly once,
+			// served or drained.
+			name: "close-mid-hand-off",
+			cfg:  AppConfig{BatchInstances: 4, BatchWindow: time.Hour, Workers: 1, MaxPending: 8},
+			run: func(t *testing.T, g *gated) {
+				g.admitted(1)
+				g.hold(1)
+				g.admitted(4)
+				for i := 0; i < 3; i++ {
+					if err := g.submit(); err != nil {
+						t.Fatal(err)
+					}
+				}
+				closed := make(chan struct{})
+				go func() { defer close(closed); g.s.Close() }()
+				// At its cap and with no worker to take the batch, the
+				// aggregator can only wake on closing; once that is closed
+				// the drain is the one way forward.
+				<-g.a.closing
+				g.layer.release <- struct{}{}
+				g.batch(4)
+				<-closed
+			},
+			ok: 5, drained: 3, batches: 2,
 		},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			s := inproc(t, tc.cfg)
-			tc.run(t, s)
-			st, ok := s.StatsFor("tiny")
-			if !ok {
-				t.Fatal("no stats for tiny")
+			g := newGated(t, tc.cfg)
+			tc.run(t, g)
+			ok, drained := g.answers()
+			g.s.Close() // a worker answers before it counts: let it finish
+			st, _ := g.s.StatsFor("gate")
+			if int64(ok) != tc.ok || int64(drained) != tc.drained {
+				t.Errorf("%d served, %d drained; want %d, %d", ok, drained, tc.ok, tc.drained)
 			}
-			if st.Queries != tc.queries {
-				t.Errorf("Queries = %d, want %d", st.Queries, tc.queries)
+			if st.Batches != tc.batches {
+				t.Errorf("Batches = %d, want %d", st.Batches, tc.batches)
 			}
-			if st.Instances != tc.queries { // single-instance queries
-				t.Errorf("Instances = %d, want %d", st.Instances, tc.queries)
+			if st.Queries != int64(ok) || st.Instances != int64(ok) {
+				t.Errorf("Queries = %d, Instances = %d, want %d served", st.Queries, st.Instances, ok)
 			}
-			if st.Batches < tc.minBatches || st.Batches > tc.maxBatches {
-				t.Errorf("Batches = %d, want in [%d, %d]", st.Batches, tc.minBatches, tc.maxBatches)
+			if st.ShedAdmission != tc.shed || st.Errors != 0 || st.ShedExpired != 0 || st.Expired != 0 {
+				t.Errorf("unexpected failures: %+v (want %d shed)", st, tc.shed)
 			}
-			if st.Errors != 0 || st.Shed() != 0 || st.Expired != 0 {
-				t.Errorf("unexpected failures: %+v", st)
-			}
-			if avg := st.AvgBatch(); avg < 1 {
-				t.Errorf("AvgBatch = %.2f, want >= 1", avg)
+			if n := g.a.timerArms.Load(); n != tc.timerArms {
+				t.Errorf("timer armed %d times, want %d", n, tc.timerArms)
 			}
 		})
+	}
+}
+
+// TestAggregatorUnderLoad: 16 concurrent queries race the aggregator and
+// two workers, so batch sizes are timing-dependent; the invariants are
+// not.
+func TestAggregatorUnderLoad(t *testing.T) {
+	s := inproc(t, AppConfig{BatchInstances: 4, Workers: 2})
+	inferN(t, s, 16)
+	st, _ := s.StatsFor("tiny")
+	if st.Queries != 16 || st.Instances != 16 {
+		t.Errorf("Queries = %d, Instances = %d, want 16", st.Queries, st.Instances)
+	}
+	if st.Batches < 4 || st.Batches > 16 {
+		t.Errorf("Batches = %d, want in [4, 16]", st.Batches)
+	}
+	if st.Errors != 0 || st.Shed() != 0 || st.Expired != 0 {
+		t.Errorf("unexpected failures: %+v", st)
 	}
 }
 
@@ -208,5 +414,40 @@ func TestStatsSnapshotNeverTears(t *testing.T) {
 	}
 	if st, _ := s.StatsFor("tiny"); st.Queries == 0 {
 		t.Fatal("no queries completed during the run")
+	}
+}
+
+// BenchmarkBatching measures the two regimes of the work-conserving
+// rule on a model with a fixed 200µs per-pass cost and one worker: a
+// lone closed-loop client (every query is a batch of one and pays no
+// wait) and sixteen (queries pile up behind the busy worker and leave in
+// batches, so ns/op falls well below the per-pass cost). avg_batch is
+// the instances per forward pass.
+func BenchmarkBatching(b *testing.B) {
+	for _, bc := range []struct {
+		name    string
+		clients int
+	}{{"idle", 1}, {"saturated", 16}} {
+		b.Run(bc.name, func(b *testing.B) {
+			s := NewServer()
+			s.SetLogger(silence)
+			defer s.Close()
+			if err := s.Register("slow", slowNet(200*time.Microsecond), AppConfig{BatchInstances: 64, Workers: 1}); err != nil {
+				b.Fatal(err)
+			}
+			b.SetParallelism(bc.clients) // × GOMAXPROCS goroutines
+			b.ResetTimer()
+			b.RunParallel(func(pb *testing.PB) {
+				payload := make([]float32, 8)
+				for pb.Next() {
+					if _, err := s.Infer("slow", payload); err != nil {
+						b.Error(err)
+						return
+					}
+				}
+			})
+			st, _ := s.StatsFor("slow")
+			b.ReportMetric(st.AvgBatch(), "avg_batch")
+		})
 	}
 }

@@ -74,8 +74,9 @@ func errorFor(status byte, msg string) error {
 
 // request is the first-class request object threaded through the whole
 // serving path: the caller's context, the query payload, and the
-// timestamps that delimit each lifecycle stage (enqueue → dequeue by
-// the aggregator → batch flush → forward pass → response).
+// timestamps that delimit its wait (enqueue → dequeue by the
+// aggregator); the batch-wide ones — hand-off to a worker, forward
+// pass, response — are runBatch's locals.
 type request struct {
 	ctx       context.Context
 	in        []float32
@@ -84,7 +85,6 @@ type request struct {
 
 	enqueued time.Time // dispatch put it on the app queue
 	dequeued time.Time // aggregator picked it up
-	flushed  time.Time // its batch was handed to a worker
 
 	resp      chan result
 	responded atomic.Bool
@@ -95,20 +95,35 @@ type result struct {
 	err error
 }
 
-// respond delivers the request's single response. Exactly one delivery
-// wins: the worker's result, the aggregator's expiry/drain error, or
-// the dispatcher abandoning the wait — every other caller sees false
-// and must not touch the request further. This is the invariant that
-// makes dispatch hang-proof.
-func (r *request) respond(res result) bool {
-	if !r.responded.CompareAndSwap(false, true) {
-		return false
-	}
-	r.resp <- res
-	return true
-}
+// claim wins the right to deliver the request's single response.
+// Exactly one claimant wins: the worker with a result, the aggregator
+// with an expiry/drain error, or the dispatcher abandoning the wait —
+// every other caller sees false and must not touch the request further.
+// This is the invariant that makes dispatch hang-proof. The winner
+// books the outcome (counters, spans) and then calls deliver, in that
+// order, so whoever receives the response finds it already accounted.
+func (r *request) claim() bool { return r.responded.CompareAndSwap(false, true) }
+
+// deliver hands a claimed request's response to its caller.
+func (r *request) deliver(res result) { r.resp <- res }
 
 // expired reports whether the request's context has been cancelled.
 func (r *request) expired() bool {
 	return r.ctx != nil && r.ctx.Err() != nil
+}
+
+// ctxExpiry reports why a query's context is already dead on arrival,
+// or nil: it was cancelled, or its deadline has passed though its timer
+// has not fired yet (a busy host runs timers late). The second case
+// must count as an expiry too: admission would answer the non-positive
+// budget with a retryable ErrOverloaded, and the router would carry a
+// dead query to another replica.
+func ctxExpiry(ctx context.Context) error {
+	if err := ctx.Err(); err != nil {
+		return err
+	}
+	if dl, ok := ctx.Deadline(); ok && !time.Now().Before(dl) {
+		return context.DeadlineExceeded
+	}
+	return nil
 }

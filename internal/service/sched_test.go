@@ -13,47 +13,6 @@ import (
 	"djinn/internal/testutil"
 )
 
-// TestAggregatorIdleNoTimerWakeups: the flush timer is lazy — an app
-// that receives no traffic must perform zero timer wakeups, and an app
-// whose batches all fill on the size threshold must not pay window
-// fires either.
-func TestAggregatorIdleNoTimerWakeups(t *testing.T) {
-	s := inproc(t, AppConfig{BatchInstances: 1, BatchWindow: 100 * time.Microsecond, Workers: 1})
-	a, _ := s.app("tiny")
-
-	// Idle: far longer than the window; the timer must never fire.
-	time.Sleep(20 * time.Millisecond)
-	if n := a.timerWakeups.Load(); n != 0 {
-		t.Fatalf("idle app performed %d timer wakeups", n)
-	}
-
-	// Threshold flushes (batch target 1): still no window fires.
-	inferN(t, s, 8)
-	time.Sleep(5 * time.Millisecond)
-	if n := a.timerWakeups.Load(); n != 0 {
-		t.Fatalf("threshold-flushed batches paid %d timer wakeups", n)
-	}
-}
-
-// TestAggregatorWindowWakeupCounted: a partial batch that waits out
-// the window fires the lazy timer exactly as often as batches flush on
-// timeout — not continuously.
-func TestAggregatorWindowWakeupCounted(t *testing.T) {
-	s := inproc(t, AppConfig{BatchInstances: 64, BatchWindow: time.Millisecond, Workers: 1})
-	a, _ := s.app("tiny")
-	if _, err := s.Infer("tiny", make([]float32, 8)); err != nil {
-		t.Fatal(err)
-	}
-	if n := a.timerWakeups.Load(); n != 1 {
-		t.Fatalf("one window-flushed batch, %d timer wakeups", n)
-	}
-	// Back to idle: no further fires.
-	time.Sleep(10 * time.Millisecond)
-	if n := a.timerWakeups.Load(); n != 1 {
-		t.Fatalf("idle after flush, wakeups grew to %d", n)
-	}
-}
-
 // TestAdmissionShedsBeforeQueue: once the service-time estimate is
 // warm, queries that cannot meet the SLO are rejected with
 // ErrOverloaded at dispatch — before they occupy queue capacity — and
@@ -138,6 +97,35 @@ func TestAdmissionShedsBeforeQueue(t *testing.T) {
 	// either executed or dropped by the time all callers returned.
 	if info.Queued != 0 {
 		t.Fatalf("queued account leaked: %+v", info)
+	}
+}
+
+// lateCtx is a context whose deadline has passed but whose Done channel
+// has not closed yet — what a query looks like on a host busy enough to
+// run the context's timer late.
+type lateCtx struct{ context.Context }
+
+func (lateCtx) Deadline() (time.Time, bool) { return time.Now().Add(-time.Millisecond), true }
+
+// TestPastDeadlineIsExpiredNotOverloaded: admission must not answer a
+// query whose deadline has already passed with ErrOverloaded — that is
+// retryable, and the router would carry the corpse to another replica.
+func TestPastDeadlineIsExpiredNotOverloaded(t *testing.T) {
+	s := inproc(t, AppConfig{BatchInstances: 1, Workers: 1, SLO: time.Second})
+	in := make([]float32, 8)
+	if _, err := s.Infer("tiny", in); err != nil { // warms the estimate: admission can reject now
+		t.Fatal(err)
+	}
+	_, err := s.InferCtx(lateCtx{context.Background()}, "tiny", in)
+	if !errors.Is(err, ErrDeadlineExceeded) || Retryable(err) {
+		t.Fatalf("past-deadline query returned %v, want a terminal ErrDeadlineExceeded", err)
+	}
+	st, _ := s.StatsFor("tiny")
+	if st.Expired != 1 || st.Shed() != 0 || st.Queries != 1 {
+		t.Fatalf("stats %+v, want 1 served, 1 expired, 0 shed", st)
+	}
+	if info, _ := s.SchedFor("tiny"); info.Queued != 0 || info.Rejected != 0 {
+		t.Fatalf("scheduler account %+v, want nothing queued or rejected", info)
 	}
 }
 
@@ -254,9 +242,10 @@ func TestAbandonedThenExpiredQueryBalancesAdmission(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Stall the pipeline: q1 occupies the worker for 100ms, q2 parks in
-	// the batch channel, q3's flush blocks the aggregator on the full
-	// channel. All are admitted cold (no service-time estimate yet).
+	// Stall the pipeline: q1 occupies the worker for 100ms, q2 is the
+	// pending batch (at its cap of one, so the aggregator stops reading),
+	// q3 waits in the request queue. All are admitted cold (no
+	// service-time estimate yet).
 	var wg sync.WaitGroup
 	for i := 0; i < 3; i++ {
 		wg.Add(1)
@@ -269,10 +258,10 @@ func TestAbandonedThenExpiredQueryBalancesAdmission(t *testing.T) {
 		time.Sleep(10 * time.Millisecond)
 	}
 
-	// Victims: admitted cold, waiting in the request queue behind the
-	// blocked aggregator. Their 20ms deadlines fire long before the
-	// aggregator unblocks (~100ms), so each caller abandons the wait
-	// and wins the respond race; assembly later sees the corpses.
+	// Victims: admitted cold, waiting in the request queue behind q3.
+	// Their 20ms deadlines fire long before the aggregator reads again
+	// (~100ms), so each caller abandons the wait and wins the respond
+	// race; assembly later sees the corpses.
 	const victims = 4
 	wg.Add(victims)
 	for i := 0; i < victims; i++ {

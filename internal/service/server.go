@@ -28,14 +28,19 @@ type AppConfig struct {
 	// into one forward pass (queries × instances-per-query at the
 	// Table 3 operating point). Zero means 64.
 	BatchInstances int
-	// MinBatchInstances floors the adaptive batch controller: under an
-	// SLO the effective batch floats within [MinBatchInstances,
-	// BatchInstances]. Setting it equal to BatchInstances pins the
-	// batch size — useful when the backend's per-batch cost is fixed
-	// and shrinking the batch only sheds capacity. Zero means 1.
+	// MinBatchInstances is the floor a pending batch must reach before
+	// an idle worker takes it (BatchWindow bounds the wait), and the
+	// floor of the adaptive batch controller: under an SLO the batch cap
+	// floats within [MinBatchInstances, BatchInstances]. Setting it equal
+	// to BatchInstances pins the batch size — useful when the backend's
+	// per-batch cost is fixed and shrinking the batch only sheds
+	// capacity. Zero means 1: an idle worker takes whatever is pending.
 	MinBatchInstances int
-	// BatchWindow is how long the aggregator waits for a batch to fill
-	// before flushing a partial one. Zero means 2ms.
+	// BatchWindow bounds how long a pending batch below
+	// MinBatchInstances waits for the floor before a free worker takes
+	// it anyway. At the default floor of 1 no query ever waits on it:
+	// batching is work-conserving, so a batch waits for a worker, never
+	// for a timer. Zero means 2ms.
 	BatchWindow time.Duration
 	// Workers is the number of concurrent inference workers (the
 	// paper's concurrent DNN service instances; 4 is the paper's
@@ -54,9 +59,9 @@ type AppConfig struct {
 	// SLO declares a target p99 latency for the app. A non-zero SLO
 	// enables the scheduler: admission control rejects queries that
 	// cannot meet their deadline before they enter the queue, and an
-	// adaptive controller resizes the effective batch size and flush
-	// window within [1, BatchInstances] to hold p99 at the SLO. Zero
-	// keeps the paper's static batching.
+	// adaptive controller resizes the batch cap (and the floor-wait
+	// bound) within [MinBatchInstances, BatchInstances] to hold p99 at
+	// the SLO. Zero keeps the static BatchInstances cap.
 	SLO time.Duration
 	// Priority is the app's tenant class at the cross-app execution
 	// gate (see Server.SetSchedSlots). Zero is sched.Throughput.
@@ -79,6 +84,9 @@ func (c AppConfig) withDefaults() AppConfig {
 	}
 	if c.MinBatchInstances > c.BatchInstances {
 		c.MinBatchInstances = c.BatchInstances
+	}
+	if c.MinBatchInstances <= 0 {
+		c.MinBatchInstances = 1
 	}
 	if c.BatchWindow <= 0 {
 		c.BatchWindow = 2 * time.Millisecond
@@ -146,7 +154,7 @@ type app struct {
 	shedAdmission atomic.Int64
 	shedExpired   atomic.Int64
 	expired       atomic.Int64
-	timerWakeups  atomic.Int64  // aggregator flush-timer fires (lazy timer)
+	timerArms     atomic.Int64  // times the aggregator armed the floor-wait timer
 	plans         chan *nn.Plan // compiled execution-plan pool, one checkout per batch
 
 	// gateMu serialises enqueues against shutdown: dispatch holds the
@@ -375,7 +383,9 @@ func (s *Server) Register(name string, netw *nn.Net, cfg AppConfig) error {
 			name, netw.ParamCount(), float64(netw.WeightBytes())/(1<<20), cfg.Precision, cfg.BatchInstances, cfg.Workers)
 	}
 	s.journalf(events.KindModel, "loaded %s (%.1f MB, %d workers)", name, float64(netw.WeightBytes())/(1<<20), cfg.Workers)
-	batchCh := make(chan []*request, cfg.Workers)
+	// Unbuffered: a hand-off completes only against a worker that is
+	// idle right now (see aggregate).
+	batchCh := make(chan []*request)
 	a.wg.Add(1)
 	go func() {
 		defer a.wg.Done()
@@ -520,9 +530,9 @@ func (s *Server) StageHistogram(name string, stage metrics.Stage) (metrics.Histo
 	return a.stages.HistogramFor(stage), true
 }
 
-// batchTarget is the instance count that triggers a flush: the
-// adaptive controller's live batch size when scheduling is enabled,
-// the static BatchInstances otherwise.
+// batchTarget caps the instances one batch may hold: the adaptive
+// controller's live batch size when scheduling is enabled, the static
+// BatchInstances otherwise.
 func (a *app) batchTarget() int {
 	if a.ctrl != nil {
 		return a.ctrl.BatchSize()
@@ -530,63 +540,49 @@ func (a *app) batchTarget() int {
 	return a.cfg.BatchInstances
 }
 
-// flushWindow is how long a partial batch may wait to fill.
-func (a *app) flushWindow() time.Duration {
+// floorWait bounds how long a pending batch below MinBatchInstances
+// waits for the floor.
+func (a *app) floorWait() time.Duration {
 	if a.ctrl != nil {
 		return a.ctrl.Window()
 	}
 	return a.cfg.BatchWindow
 }
 
-// aggregate collects requests into batches: it flushes when the pending
-// instance count reaches the batch target or when the flush window has
-// elapsed since the first pending request — the cross-request batching
-// that Section 5.1 shows is key to GPU throughput. Queries whose
-// deadline has already expired are failed here, at batch-assembly time,
-// so a dead query never occupies forward-pass capacity.
+// aggregate collects requests into batches under one work-conserving
+// rule: the pending batch goes to a worker the moment one is free.
+// batchCh is unbuffered and workers block receiving on it, so offering
+// the batch in the select below succeeds exactly when a worker is idle.
+// On an idle replica a query therefore leaves as a batch of one without
+// waiting; while every worker is busy the batch keeps growing, up to
+// batchTarget, and the first worker to finish takes all of it — the
+// cross-request batching that Section 5.1 shows is key to throughput
+// forms exactly when the replica is saturated, the only time it buys
+// any. At the cap the aggregator stops reading reqCh, which then fills
+// to MaxPending and sheds.
 //
-// The flush timer is lazy: one timer for the aggregator's lifetime,
-// armed only while a partial batch is pending. An idle app therefore
-// performs no timer wakeups at all (timerWakeups counts the fires).
+// The one wait left is for the MinBatchInstances floor: a batch below
+// it is not offered until it reaches the floor or floorWait has passed
+// since its first query. That timer is armed only then, so at the
+// default floor of 1 the aggregator never touches it (timerArms
+// counts).
+//
+// Queries whose deadline has already expired are failed here, at
+// batch-assembly time, so a dead query never occupies forward-pass
+// capacity.
 func (a *app) aggregate(batchCh chan<- []*request, closing <-chan struct{}) {
 	defer close(batchCh)
 	var (
 		pending   []*request
 		instances int
-		armed     bool
+		armed     bool // the floor-wait timer is running
+		waited    bool // it ran out: offer the batch below the floor
 	)
 	timer := time.NewTimer(time.Hour)
 	if !timer.Stop() {
 		<-timer.C
 	}
 	defer timer.Stop()
-	disarm := func() {
-		if !armed {
-			return
-		}
-		armed = false
-		if !timer.Stop() {
-			// The timer fired while we were flushing on the size
-			// threshold; drain the stale tick so the next arm's fire is
-			// the only value ever in the channel.
-			select {
-			case <-timer.C:
-			default:
-			}
-		}
-	}
-	flush := func() {
-		if len(pending) == 0 {
-			return
-		}
-		now := time.Now()
-		for _, req := range pending {
-			req.flushed = now
-		}
-		batchCh <- pending
-		pending, instances = nil, 0
-		disarm()
-	}
 	admit := func(req *request) {
 		req.dequeued = time.Now()
 		if req.expired() {
@@ -598,33 +594,44 @@ func (a *app) aggregate(batchCh chan<- []*request, closing <-chan struct{}) {
 			if a.ctrl != nil {
 				a.ctrl.Dropped(req.instances)
 			}
-			if req.respond(result{err: fmt.Errorf("%w: expired after %v in queue", ErrDeadlineExceeded, req.dequeued.Sub(req.enqueued).Round(time.Microsecond))}) {
+			if req.claim() {
 				a.shedExpired.Add(1)
 				a.traceSpans(req, trace.Span{
 					Name: "queue_wait", Start: req.enqueued,
 					Dur: req.dequeued.Sub(req.enqueued), Note: "expired in queue",
 				})
+				req.deliver(result{err: fmt.Errorf("%w: expired after %v in queue", ErrDeadlineExceeded, req.dequeued.Sub(req.enqueued).Round(time.Microsecond))})
 			}
 			return
 		}
-		if len(pending) == 0 {
-			timer.Reset(a.flushWindow())
-			armed = true
-		}
 		pending = append(pending, req)
 		instances += req.instances
-		if instances >= a.batchTarget() {
-			flush()
+		if len(pending) == 1 && instances < a.cfg.MinBatchInstances {
+			timer.Reset(a.floorWait())
+			armed = true
+			a.timerArms.Add(1)
 		}
 	}
 	for {
+		// A nil channel never becomes ready: in is nil while the batch is
+		// at its cap, out until the batch may leave.
+		var in <-chan *request
+		if instances < a.batchTarget() {
+			in = a.reqCh
+		}
+		var out chan<- []*request
+		if len(pending) > 0 && (instances >= a.cfg.MinBatchInstances || waited) {
+			out = batchCh
+		}
 		select {
 		case <-closing:
 			// Graceful drain: the batch under assembly still runs, but
 			// stragglers waiting in the queue fail immediately. The
 			// enqueue gate is already closed, so this drain sees every
 			// request that will ever be on reqCh.
-			flush()
+			if len(pending) > 0 {
+				batchCh <- pending
+			}
 			for {
 				select {
 				case req := <-a.reqCh:
@@ -635,24 +642,38 @@ func (a *app) aggregate(batchCh chan<- []*request, closing <-chan struct{}) {
 					if a.ctrl != nil {
 						a.ctrl.Dropped(req.instances)
 					}
-					req.respond(result{err: fmt.Errorf("%w: %s drained before execution", ErrShuttingDown, a.name)})
+					if req.claim() {
+						req.deliver(result{err: fmt.Errorf("%w: %s drained before execution", ErrShuttingDown, a.name)})
+					}
 				default:
 					return
 				}
 			}
-		case req := <-a.reqCh:
+		case req := <-in:
 			admit(req)
-		case <-timer.C:
-			a.timerWakeups.Add(1)
+		case out <- pending:
+			pending, instances, waited = nil, 0, false
+			if armed && !timer.Stop() {
+				// The timer fired as the batch reached its floor; drain
+				// the stale tick so the next arm's fire is the only value
+				// ever in the channel.
+				select {
+				case <-timer.C:
+				default:
+				}
+			}
 			armed = false
-			flush()
+		case <-timer.C:
+			armed, waited = false, len(pending) > 0
 		}
 	}
 }
 
 // traceSpans annotates a traced request's lifecycle spans into the
-// server's span store. It is a no-op for untraced requests, so the
-// only cost tracing adds to an untraced query is this nil check.
+// server's span store. It is a no-op for untraced requests, but its
+// arguments are built before that check: a caller whose spans cost
+// anything to build (a formatted Note) checks req.traceID itself, so
+// the only cost tracing adds to an untraced query is that comparison.
 func (a *app) traceSpans(req *request, spans ...trace.Span) {
 	if req.traceID == "" {
 		return
@@ -679,22 +700,33 @@ func (a *app) work(batchCh <-chan []*request) {
 // a panic anywhere in the forward path fails the batch's requests with
 // an error instead of deadlocking their callers.
 func (a *app) runBatch(plan *nn.Plan, batch []*request) {
+	// The hand-off is the worker's receive, so the worker stamps it: the
+	// aggregator cannot write to a batch it has already given away.
+	flushed := time.Now()
 	// Gather all instances across the batch's requests.
 	total := 0
 	for _, r := range batch {
 		total += r.instances
 	}
+	if a.ctrl != nil {
+		a.ctrl.Started(total)
+	}
 	accounted := false
+	var booking *request // claimed, response not yet delivered
 	defer func() {
 		if r := recover(); r != nil {
 			err := fmt.Errorf("service: %s worker panic: %v", a.name, r)
+			if booking != nil {
+				booking.deliver(result{err: err})
+			}
 			for _, req := range batch {
-				if req.respond(result{err: err}) {
+				if req.claim() {
 					a.errors.Add(1)
+					req.deliver(result{err: err})
 				}
 			}
 			if a.ctrl != nil && !accounted {
-				a.ctrl.Dropped(total)
+				a.ctrl.Executed(total)
 			}
 		}
 	}()
@@ -751,7 +783,10 @@ func (a *app) runBatch(plan *nn.Plan, batch []*request) {
 		n := r.instances * a.sampleOut
 		resp := out[off : off+n : off+n]
 		off += n
-		if r.respond(result{out: resp}) {
+		// Book the query before delivering its response: a caller that has
+		// its answer finds it in the counters, histograms and span store.
+		if r.claim() {
+			booking = r
 			a.queries.Add(1)
 			a.tput.Add(1)
 			e2e := time.Since(r.enqueued)
@@ -761,16 +796,22 @@ func (a *app) runBatch(plan *nn.Plan, batch []*request) {
 			}
 		}
 		a.stages.RecordEx(metrics.StageQueueWait, r.dequeued.Sub(r.enqueued), r.traceID)
-		a.stages.RecordEx(metrics.StageBatchAssembly, r.flushed.Sub(r.dequeued), r.traceID)
+		a.stages.RecordEx(metrics.StageBatchAssembly, flushed.Sub(r.dequeued), r.traceID)
 		a.stages.RecordEx(metrics.StageForward, forward, r.traceID)
 		respond := time.Since(forwardDone)
 		a.stages.RecordEx(metrics.StageRespond, respond, r.traceID)
-		a.traceSpans(r,
-			trace.Span{Name: "queue_wait", Start: r.enqueued, Dur: r.dequeued.Sub(r.enqueued)},
-			trace.Span{Name: "batch_assembly", Start: r.dequeued, Dur: r.flushed.Sub(r.dequeued),
-				Note: fmt.Sprintf("batch=%d size=%d instances=%d", batchID, len(batch), total)},
-			trace.Span{Name: "forward", Start: forwardStart, Dur: forward},
-			trace.Span{Name: "respond", Start: forwardDone, Dur: respond})
+		if r.traceID != "" {
+			a.traceSpans(r,
+				trace.Span{Name: "queue_wait", Start: r.enqueued, Dur: r.dequeued.Sub(r.enqueued)},
+				trace.Span{Name: "batch_assembly", Start: r.dequeued, Dur: flushed.Sub(r.dequeued),
+					Note: fmt.Sprintf("batch=%d size=%d instances=%d", batchID, len(batch), total)},
+				trace.Span{Name: "forward", Start: forwardStart, Dur: forward},
+				trace.Span{Name: "respond", Start: forwardDone, Dur: respond})
+		}
+		if booking != nil {
+			r.deliver(result{out: resp})
+			booking = nil
+		}
 	}
 }
 
@@ -895,7 +936,7 @@ func (s *Server) handle(conn net.Conn) {
 // control answers a control command: "apps" lists registered
 // applications; "stats <app>" reports an application's counters;
 // "latency <app>" reports its per-stage lifecycle breakdown;
-// "sched <app>" reports the live scheduler state (batch size, flush
+// "sched <app>" reports the live scheduler state (batch cap, floor-wait
 // window, admission counters) or "disabled" for a static app;
 // "precision [app]" reports the kernel precision an app's plan pool was
 // compiled at (all apps when the name is omitted);
@@ -1054,7 +1095,7 @@ func (s *Server) dispatchApp(ctx context.Context, a *app, in []float32) ([]float
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	if err := ctx.Err(); err != nil {
+	if err := ctxExpiry(ctx); err != nil {
 		a.expired.Add(1)
 		return nil, fmt.Errorf("%w: %v", ErrDeadlineExceeded, err)
 	}
@@ -1081,8 +1122,10 @@ func (s *Server) dispatchApp(ctx context.Context, a *app, in []float32) ([]float
 		est, ok := a.ctrl.Admit(budget, req.instances)
 		if !ok {
 			a.shedAdmission.Add(1)
-			a.traceSpans(req, trace.Span{Name: "admission", Start: req.enqueued,
-				Dur: time.Since(req.enqueued), Note: fmt.Sprintf("rejected: est %v > budget %v", est, budget)})
+			if req.traceID != "" {
+				a.traceSpans(req, trace.Span{Name: "admission", Start: req.enqueued,
+					Dur: time.Since(req.enqueued), Note: fmt.Sprintf("rejected: est %v > budget %v", est, budget)})
+			}
 			return nil, fmt.Errorf("%w: %s admission rejected (est %v exceeds budget %v)",
 				ErrOverloaded, appName, est.Round(time.Microsecond), budget.Round(time.Microsecond))
 		}
@@ -1091,8 +1134,10 @@ func (s *Server) dispatchApp(ctx context.Context, a *app, in []float32) ([]float
 		if a.ctrl != nil {
 			a.ctrl.Dropped(req.instances)
 		}
-		a.traceSpans(req, trace.Span{Name: "enqueue", Start: req.enqueued,
-			Dur: time.Since(req.enqueued), Note: "rejected: " + err.Error()})
+		if req.traceID != "" {
+			a.traceSpans(req, trace.Span{Name: "enqueue", Start: req.enqueued,
+				Dur: time.Since(req.enqueued), Note: "rejected: " + err.Error()})
+		}
 		return nil, err
 	}
 	// Every enqueued request is guaranteed exactly one response (worker
@@ -1105,7 +1150,7 @@ func (s *Server) dispatchApp(ctx context.Context, a *app, in []float32) ([]float
 	case <-ctx.Done():
 		// Claim the response slot so the late worker result (if any) is
 		// discarded and counted as expired exactly once.
-		if req.respond(result{}) {
+		if req.claim() {
 			a.expired.Add(1)
 			a.traceSpans(req, trace.Span{Name: "abandoned", Start: req.enqueued,
 				Dur: time.Since(req.enqueued), Note: "caller deadline expired during wait"})

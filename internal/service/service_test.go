@@ -200,10 +200,11 @@ func TestQueryLargerThanRunnerBatchIsChunked(t *testing.T) {
 	}
 }
 
-func TestCrossRequestBatching(t *testing.T) {
-	// Many concurrent single-instance queries should be aggregated into
-	// far fewer forward passes (the Section 5.1 optimisation).
-	s, addr := startServer(t, AppConfig{BatchInstances: 16, BatchWindow: 5 * time.Millisecond, Workers: 1})
+func TestConcurrentClients(t *testing.T) {
+	// Concurrent clients over TCP each get their own query's result back,
+	// however the aggregator groups them (how it groups them is
+	// TestAggregatorWorkConserving's subject).
+	s, addr := startServer(t, AppConfig{BatchInstances: 16, Workers: 1})
 	const clients = 8
 	const perClient = 8
 	var wg sync.WaitGroup
@@ -242,9 +243,6 @@ func TestCrossRequestBatching(t *testing.T) {
 	}
 	if st.Queries != clients*perClient {
 		t.Fatalf("served %d queries, want %d", st.Queries, clients*perClient)
-	}
-	if st.AvgBatch() < 1.5 {
-		t.Fatalf("average batch %.2f — cross-request batching is not happening", st.AvgBatch())
 	}
 }
 
@@ -306,24 +304,6 @@ func TestInProcessInfer(t *testing.T) {
 		if out[i] != want[i] {
 			t.Fatal("in-process inference differs")
 		}
-	}
-}
-
-func TestBatchWindowFlushesPartialBatches(t *testing.T) {
-	// A single query with a huge batch threshold must still complete
-	// within roughly the batch window, not hang.
-	s := NewServer()
-	s.SetLogger(silence)
-	defer s.Close()
-	if err := s.Register("tiny", testNet(1), AppConfig{BatchInstances: 1 << 20, BatchWindow: 5 * time.Millisecond}); err != nil {
-		t.Fatal(err)
-	}
-	start := time.Now()
-	if _, err := s.Infer("tiny", make([]float32, 8)); err != nil {
-		t.Fatal(err)
-	}
-	if d := time.Since(start); d > 2*time.Second {
-		t.Fatalf("partial batch took %v; window flush broken", d)
 	}
 }
 

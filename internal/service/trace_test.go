@@ -128,6 +128,35 @@ func TestUntracedRequestLeavesNoSpans(t *testing.T) {
 	}
 }
 
+// TestUntracedQueryPaysNoTraceAllocs: with tracing off, a query must
+// not pay for the spans a traced one records — in particular not for
+// formatting the batch_assembly note, which is built at the call site
+// before traceSpans can look at the trace ID. A traced query over the
+// same path allocates more; an untraced one stays at the serving path's
+// own fixed count.
+func TestUntracedQueryPaysNoTraceAllocs(t *testing.T) {
+	s := inproc(t, AppConfig{BatchInstances: 1, Workers: 1})
+	in := make([]float32, 8)
+	infer := func(ctx context.Context) func() {
+		return func() {
+			if _, err := s.InferCtx(ctx, "tiny", in); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	// What serving a query takes: the request, its response channel
+	// (header and buffer), the pending batch and the output array.
+	const servingAllocs = 5
+	untraced := testing.AllocsPerRun(200, infer(context.Background()))
+	if untraced > servingAllocs {
+		t.Errorf("untraced Infer: %.1f allocs/query, want at most %d", untraced, servingAllocs)
+	}
+	traced := testing.AllocsPerRun(200, infer(trace.WithID(context.Background(), trace.NewID())))
+	if traced <= untraced {
+		t.Errorf("traced Infer: %.1f allocs/query, untraced %.1f: the traced path records nothing?", traced, untraced)
+	}
+}
+
 // TestTraceRecordsQueueExpiry: a query that dies in the queue leaves an
 // explanatory span instead of a complete lifecycle.
 func TestTraceRecordsQueueExpiry(t *testing.T) {

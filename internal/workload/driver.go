@@ -178,8 +178,7 @@ func DriveClosedLoopDeadline(b service.Backend, app models.App, name string, wor
 // DriveClosedLoopPayload is the closed-loop core with a caller-supplied
 // payload generator (called once per worker with that worker's RNG),
 // letting experiments drive apps outside the Tonic Suite — e.g. a
-// synthetic model sized so the service's batch window, not the forward
-// pass, bounds each replica.
+// synthetic model with a forward pass of microseconds.
 func DriveClosedLoopPayload(b service.Backend, name string, payload func(*tensor.RNG) []float32, workers int, duration, deadline time.Duration) DriveResult {
 	return DriveClosedLoopOptions(b, name, payload, DriveOptions{
 		Workers: workers, Duration: duration, Deadline: deadline,
