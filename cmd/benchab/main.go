@@ -11,17 +11,18 @@
 // directory, as the driver does, so the working tree — uncommitted
 // changes included — is untouched. Each side is built by one
 // `bash bench/run.sh -h` in its own tree; every run then goes through
-// BENCHMARK.json's command exactly as the driver makes it. Pair i uses
-// seed -seed0 + i on both sides and alternates which side runs first; a
-// pair in which either side's report carries `NOISY` (the host canary
-// moved across the run) is rerun, at most twice.
+// BENCHMARK.json's command exactly as the driver makes it, for
+// BENCHMARK.json's run_seconds. Pair i uses seed seed0 + i on both sides
+// and alternates which side runs first; a pair in which either side's
+// report carries `NOISY` (the host canary moved across the run) is
+// rerun, at most twice.
 //
 // Per metric it prints each side's median and quartiles, how many pairs
 // the working tree won, and a verdict:
 //
-//	claimable     the tree wins at least nine tenths of the pairs (ties count
-//	              for neither) and the medians differ by more than the
-//	              reference's own quartile spread
+//	claimable     the tree wins at least nine tenths of the pairs run (a tie
+//	              is a win for neither side) and the medians differ by more
+//	              than the reference's own quartile spread
 //	REGRESSED     the tree's median is worse than the reference's by more than
 //	              the metric's bound
 //	unresolved    neither, and one side's quartile spread is wider than the
@@ -70,22 +71,24 @@ type run struct {
 	noisy bool
 }
 
+const (
+	pairs = 10  // per workload
+	seed0 = 101 // seed of the first pair; pair i uses seed0+i
+)
+
 func main() {
 	var (
 		ref      = flag.String("ref", "HEAD^", "commit the working tree is compared against")
 		workload = flag.String("workload", "", "one workload (default: every workload in BENCHMARK.json)")
-		pairs    = flag.Int("pairs", 10, "pairs per workload")
-		seed0    = flag.Uint64("seed0", 101, "seed of the first pair; pair i uses seed0+i")
-		seconds  = flag.Float64("seconds", 0, "measured seconds per run (default: BENCHMARK.json's run_seconds)")
 	)
 	flag.Parse()
-	if err := benchab(*ref, *workload, *pairs, *seed0, *seconds); err != nil {
+	if err := benchab(*ref, *workload); err != nil {
 		fmt.Fprintln(os.Stderr, "benchab:", err)
 		os.Exit(1)
 	}
 }
 
-func benchab(ref, only string, pairs int, seed0 uint64, seconds float64) error {
+func benchab(ref, only string) error {
 	raw, err := os.ReadFile("BENCHMARK.json")
 	if err != nil {
 		return fmt.Errorf("run from the repository root: %w", err)
@@ -94,16 +97,13 @@ func benchab(ref, only string, pairs int, seed0 uint64, seconds float64) error {
 	if err := json.Unmarshal(raw, &c); err != nil {
 		return fmt.Errorf("BENCHMARK.json: %w", err)
 	}
-	if seconds <= 0 {
-		seconds = c.RunSeconds
-	}
 	var workloads []string
 	for _, w := range c.Workloads {
 		if only == "" || only == w.Name {
 			workloads = append(workloads, w.Name)
 		}
 	}
-	if len(workloads) == 0 || pairs < 1 || len(c.Command) == 0 {
+	if len(workloads) == 0 || len(c.Command) == 0 {
 		return fmt.Errorf("no workload %q in BENCHMARK.json, or nothing to run", only)
 	}
 
@@ -136,12 +136,12 @@ func benchab(ref, only string, pairs int, seed0 uint64, seconds float64) error {
 		// results[side][pair]
 		var results [2][]run
 		for i := 0; i < pairs; i++ {
-			seed := seed0 + uint64(i)
+			seed := uint64(seed0 + i)
 			var pair [2]run
 			for attempt := 0; ; attempt++ {
 				for k := 0; k < 2; k++ {
 					side := (i + k) % 2 // alternate which side goes first
-					r, err := benchRun(c.Command, sides[side].dir, w, seed, seconds)
+					r, err := benchRun(c.Command, sides[side].dir, w, seed, c.RunSeconds)
 					if err != nil {
 						return fmt.Errorf("%s, %s, seed %d: %w", w, sides[side].name, seed, err)
 					}
@@ -207,33 +207,31 @@ func report(workload, ref string, metrics []metricDef, results [2][]run) {
 	fmt.Printf("| metric | %s median [Q1, Q3] | tree median [Q1, Q3] | change | tree wins | verdict |\n|---|---|---|---|---|---|\n", ref)
 	for _, m := range metrics {
 		var vals [2][]float64
-		wins, ties := 0, 0
+		wins := 0
 		for i := 0; i < n; i++ {
 			a, b := results[0][i].Metrics[m.Name].Value, results[1][i].Metrics[m.Name].Value
 			vals[0], vals[1] = append(vals[0], a), append(vals[1], b)
-			switch {
-			case a == b:
-				ties++
-			case (b > a) == (m.Better == "higher"):
+			if a != b && (b > a) == (m.Better == "higher") {
 				wins++
 			}
 		}
 		rq, tq := quartiles(vals[0]), quartiles(vals[1])
 		fmt.Printf("| `%s` (%s) | %.4g [%.4g, %.4g] | %.4g [%.4g, %.4g] | %+.1f %% | %d/%d | %s |\n",
 			m.Name, m.Unit, rq[1], rq[0], rq[2], tq[1], tq[0], tq[2],
-			100*(tq[1]-rq[1])/rq[1], wins, n-ties, verdict(m, rq, tq, wins, n-ties))
+			100*(tq[1]-rq[1])/rq[1], wins, n, verdict(m, rq, tq, wins, n))
 	}
 }
 
 // verdict applies the contract's rule to one metric's quartiles
-// (reference, tree) and the tree's wins out of the decided pairs.
-func verdict(m metricDef, rq, tq [3]float64, wins, decided int) string {
+// (reference, tree) and the tree's wins out of the n pairs run; a tie
+// is a win for neither side.
+func verdict(m metricDef, rq, tq [3]float64, wins, n int) string {
 	gain := tq[1] - rq[1] // positive when the tree is better
 	if m.Better == "lower" {
 		gain = -gain
 	}
 	switch {
-	case decided > 0 && 10*wins >= 9*decided && gain > rq[2]-rq[0]:
+	case 10*wins >= 9*n && gain > rq[2]-rq[0]:
 		return "claimable"
 	case -gain > m.Bound*math.Abs(rq[1]):
 		return "REGRESSED"

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"runtime"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -338,6 +339,72 @@ func TestAggregatorWorkConserving(t *testing.T) {
 				t.Errorf("timer armed %d times, want %d", n, tc.timerArms)
 			}
 		})
+	}
+}
+
+// TestAggregatorSaturatedClosedLoop: batching still happens when it
+// should. Sixteen closed-loop clients drive one worker, and the test
+// holds every forward pass until each client has a query outstanding, so
+// the replica is saturated by construction. The clients a pass does not
+// hold queue behind it and leave together: passes average half the
+// clients (the bar leaves room for a client that has entered Infer but
+// not yet enqueued when the pass is released).
+func TestAggregatorSaturatedClosedLoop(t *testing.T) {
+	const clients, rounds = 16, 20
+	g := newGated(t, AppConfig{BatchInstances: 64, BatchWindow: time.Hour, Workers: 1})
+	var started atomic.Int64 // queries the clients have begun
+	stop := make(chan struct{})
+	var wg sync.WaitGroup
+	for c := 0; c < clients; c++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			in := make([]float32, 8)
+			for {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				started.Add(1)
+				if _, err := g.s.Infer("gate", in); err != nil {
+					t.Error(err)
+					return
+				}
+			}
+		}()
+	}
+	done := make(chan struct{})
+	go func() { wg.Wait(); close(done) }()
+	for r := 0; ; r++ {
+		if r == rounds {
+			close(stop)
+		}
+		select {
+		case <-g.layer.entered:
+		case <-done:
+			st, _ := g.s.StatsFor("gate")
+			if st.Batches < rounds || st.AvgBatch() < 4 {
+				t.Errorf("%d queries in %d batches, %.1f a batch; want at least 4 with %d clients on one held worker",
+					st.Queries, st.Batches, st.AvgBatch(), clients)
+			}
+			if st.Errors != 0 || st.Shed() != 0 || st.Expired != 0 {
+				t.Errorf("unexpected failures: %+v", st)
+			}
+			return
+		case <-time.After(10 * time.Second):
+			t.Fatal("no batch reached the worker")
+		}
+		// The one worker is held, so every earlier pass is booked: each
+		// client has a query outstanding once the clients have begun that
+		// many more than were answered.
+		st, _ := g.s.StatsFor("gate")
+		for deadline := time.Now().Add(10 * time.Second); r < rounds && started.Load() < st.Queries+clients; runtime.Gosched() {
+			if time.Now().After(deadline) {
+				t.Fatalf("%d of %d clients waiting", started.Load()-st.Queries, clients)
+			}
+		}
+		g.layer.release <- struct{}{}
 	}
 }
 
