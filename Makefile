@@ -14,9 +14,10 @@ BENCH_PKGS  ?= ./internal/tensor/... ./internal/nn/... ./internal/models/...
 # test suite (tier-1), and race-detector runs for the concurrency-heavy
 # packages (the serving path, the scheduler, the multi-backend router,
 # the load drivers, their metrics, and the engine's parallel GEMM /
-# shared-plan paths). race first repeats the aggregator hand-off and
-# admission tests twenty times on one and on four procs: they hold the
-# batching rule's orderings, which a single pass can get right by luck.
+# shared-plan paths). race first repeats the aggregator hand-off,
+# admission and plan tests twenty times on one and on four procs: they
+# hold the batching rule's orderings and plan growth under concurrent
+# checkouts, which a single pass can get right by luck.
 check: vet build test race
 
 # vet is static analysis plus a formatting gate: gofmt -l prints the
@@ -33,8 +34,8 @@ test:
 	$(GO) test ./...
 
 race:
-	GOMAXPROCS=1 $(GO) test -race -count=20 -run 'TestAggregator|TestAdmission|TestPastDeadline' ./internal/service ./internal/sched
-	GOMAXPROCS=4 $(GO) test -race -count=20 -run 'TestAggregator|TestAdmission|TestPastDeadline' ./internal/service ./internal/sched
+	GOMAXPROCS=1 $(GO) test -race -count=20 -run 'TestAggregator|TestAdmission|TestPastDeadline|TestPlan' ./internal/service ./internal/sched ./internal/nn
+	GOMAXPROCS=4 $(GO) test -race -count=20 -run 'TestAggregator|TestAdmission|TestPastDeadline|TestPlan' ./internal/service ./internal/sched ./internal/nn
 	$(GO) test -race ./internal/tensor/... ./internal/nn/... ./internal/models/... ./internal/modelstore/... ./internal/service/... ./internal/sched/... ./internal/metrics/... ./internal/router/... ./internal/workload/... ./internal/trace/... ./internal/admin/... ./internal/controlplane/... ./internal/timeseries/... ./internal/events/... ./internal/alerts/... ./internal/gateway/... ./internal/pipeline/...
 
 # dash is an observability smoke test: the obsfleet experiment stands

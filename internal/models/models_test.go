@@ -220,25 +220,29 @@ func TestSennaTaskWidthsDiffer(t *testing.T) {
 // the compiled execution plans: across all seven Tonic networks, a
 // plan's output (with in-place elementwise layers, fused bias+ReLU
 // epilogues and intra-op parallel GEMM) must be bit-identical to the
-// seed Runner forward path — not merely close.
+// seed Runner forward path — not merely close. One plan serves a short
+// batch sequence: 2 grows it from its compiled one sample, 1 runs below
+// its high-water batch.
 func TestPlanMatchesRunnerAllNetworks(t *testing.T) {
-	const batch = 2
+	const maxBatch = 8
 	for _, a := range Apps {
 		net := BuildCached(a)
-		in := tensor.New(append([]int{batch}, net.InShape()...)...)
-		tensor.NewRNG(uint64(a)+21).FillNorm(in.Data(), 0, 1)
-		want := net.NewRunner(batch).Forward(in)
-		plan := net.CompileOpts(batch, nn.CompileOpts{Workers: 2})
-		got := plan.Forward(in)
-		if got.Len() != want.Len() {
-			t.Fatalf("%s: plan output %v, runner %v", a, got.Shape(), want.Shape())
-		}
-		for i := range got.Data() {
-			if got.Data()[i] != want.Data()[i] {
-				t.Fatalf("%s: out[%d] = %v (plan) vs %v (runner): not bit-identical", a, i, got.Data()[i], want.Data()[i])
+		plan := net.CompileOpts(maxBatch, nn.CompileOpts{Workers: 2})
+		for _, batch := range []int{2, 1} {
+			in := tensor.New(append([]int{batch}, net.InShape()...)...)
+			tensor.NewRNG(uint64(a)+21+uint64(batch)).FillNorm(in.Data(), 0, 1)
+			want := net.NewRunner(batch).Forward(in)
+			got := plan.Forward(in)
+			if got.Len() != want.Len() {
+				t.Fatalf("%s batch %d: plan output %v, runner %v", a, batch, got.Shape(), want.Shape())
+			}
+			for i := range got.Data() {
+				if got.Data()[i] != want.Data()[i] {
+					t.Fatalf("%s batch %d: out[%d] = %v (plan) vs %v (runner): not bit-identical", a, batch, i, got.Data()[i], want.Data()[i])
+				}
 			}
 		}
-		if pb, sb := plan.ActivationBytes(), net.ActivationBytes(batch); pb >= sb {
+		if pb, sb := plan.ActivationBytes(), net.ActivationBytes(maxBatch); pb >= sb {
 			t.Errorf("%s: plan activation bytes %d not below seed layout %d", a, pb, sb)
 		}
 	}

@@ -149,8 +149,10 @@ func (p *Plan) buildBackend(prec Precision) {
 	if err := p.net.CheckPrecision(prec); err != nil {
 		panic("nn: Compile: " + err.Error())
 	}
-	// Activation-derived scratch, sized over all routed layers up front.
-	var packedB, int8B, int8BCols, int8A, int8ARows int
+	// Activation-derived scratch, sized over all routed layers up front:
+	// conv scratch is per sample; the int8 FC scratch is per batch, so
+	// only its row length is fixed here and reserve sizes it.
+	var packedB, int8B, int8BCols, fcIn int
 	for i, l := range p.net.layers {
 		switch t := l.(type) {
 		case *Conv:
@@ -160,8 +162,7 @@ func (p *Plan) buildBackend(prec Precision) {
 			int8B = maxInt(int8B, tensor.PackedBInt8Len(kTaps, outSpatial))
 			int8BCols = maxInt(int8BCols, outSpatial)
 		case *FC:
-			int8A = maxInt(int8A, tensor.PackedAInt8Len(p.maxBatch, t.In))
-			int8ARows = maxInt(int8ARows, p.maxBatch)
+			fcIn = maxInt(fcIn, t.In)
 		}
 	}
 	switch prec {
@@ -170,8 +171,7 @@ func (p *Plan) buildBackend(prec Precision) {
 	case Int8:
 		p.qB = make([]uint8, int8B)
 		p.qBSum = make([]int32, int8BCols)
-		p.qA = make([]uint64, int8A)
-		p.qASum = make([]int32, int8ARows)
+		p.qAK = fcIn
 	}
 
 	for i := range p.steps {

@@ -152,8 +152,8 @@ func (n *Net) FLOPs(batch int) float64 {
 // with privately-owned activation buffers. One Runner per worker thread;
 // the Net's weights are shared. It is a thin wrapper over a Retain-mode
 // execution plan (see Plan): every layer keeps its own activation buffer
-// so Backward can consume them, and all batch-limited views are
-// precomputed at construction instead of allocated per Forward call.
+// so Backward can consume them, and batch-limited views are built as
+// the plan grows instead of allocated per Forward call.
 type Runner struct {
 	plan  *Plan
 	grads []*tensor.Tensor // allocated on demand for training
@@ -212,14 +212,14 @@ func (r *Runner) Backward(dOut *tensor.Tensor) {
 	}
 	cur := view(r.grads[len(net.layers)], batch)
 	copy(cur.Data(), dOut.Data())
-	acts := r.plan.views[batch-1] // retain mode: one buffer per activation
+	acts := r.plan.views // retain mode: one buffer per activation
 	for i := len(net.layers) - 1; i >= 0; i-- {
 		bl, ok := net.layers[i].(BackLayer)
 		if !ok {
 			panic(fmt.Sprintf("nn: layer %s (%s) does not support backward", net.layers[i].Name(), net.layers[i].Kind()))
 		}
 		din := view(r.grads[i], batch)
-		bl.Backward(r.plan.ctx, acts[i], acts[i+1], cur, din)
+		bl.Backward(r.plan.ctx, acts[i][batch-1], acts[i+1][batch-1], cur, din)
 		cur = din
 	}
 }

@@ -2,15 +2,21 @@ package nn
 
 import (
 	"fmt"
+	"slices"
 
 	"djinn/internal/tensor"
 )
 
-// Plan is a compile-once execution plan for one Net: everything the
-// per-call forward path used to compute or allocate — batch-limited
-// activation views, im2col scratch, buffer wiring — is precomputed at
-// Compile time, so the steady-state forward pass performs zero heap
-// allocations. The plan also rewires execution for inference:
+// Plan is a compile-once execution plan for one Net. Compile fixes the
+// plan's wiring — step marking, fusion, arena slot assignment and the
+// per-sample size of every slot, im2col scratch — and the batch-sized
+// state (arenas, per-batch activation views, int8 FC scratch) is built
+// for the largest batch run so far, its high-water batch. A call with a
+// larger batch regrows that state to max(batch, min(2×hw, maxBatch)), so
+// a plan allocates it at most ⌈log₂ maxBatch⌉+1 times, holds only what
+// its traffic touches, and performs zero heap allocations at any batch
+// up to its high-water mark. The plan also rewires execution for
+// inference:
 //
 //   - Elementwise layers (ReLU, sigmoid, tanh, hardtanh, dropout,
 //     softmax) run in place over their input buffer, and the remaining
@@ -25,6 +31,10 @@ import (
 // All three transformations preserve the serial per-element operation
 // order, so plan outputs are bit-identical to the seed Runner path.
 //
+// A view returned by In, Out, Run or Forward is valid only until the
+// next call with a larger batch than the plan has run: growth replaces
+// the arenas it points into.
+//
 // A Plan owns private buffers and is NOT safe for concurrent use; the
 // underlying Net's weights are shared read-only, so any number of plans
 // may execute concurrently over one Net (DjiNN's load-once model). Use
@@ -36,9 +46,14 @@ type Plan struct {
 	retain    bool
 	precision Precision
 	steps     []planStep
-	arenas    [][]float32        // slot 0 is the input arena
-	slots     []int              // arena slot per activation (len(steps)+1)
-	views     [][]*tensor.Tensor // views[b-1][i]: activation i as a [b,...] tensor
+	shapes    [][]int // per-sample shape of every activation, input first
+	slots     []int   // arena slot per activation (len(steps)+1)
+	slotElems []int   // per-sample floats of each slot: its largest activation
+
+	// Batch-sized state, built for the high-water batch hw by reserve.
+	hw     int
+	arenas [][]float32        // slot 0 is the input arena
+	views  [][]*tensor.Tensor // views[i][b-1]: activation i as a [b,...] tensor
 
 	// Packing scratch owned by the plan, sized at Compile by
 	// buildBackend; nil at the reference precision. Weight-derived packed
@@ -46,7 +61,8 @@ type Plan struct {
 	packB []float32 // Float32Packed: im2col columns in K×NR panels
 	qB    []uint8   // Int8: quantized im2col columns, offset panels
 	qBSum []int32   // Int8: per-column signed sums for the B scratch
-	qA    []uint64  // Int8: quantized FC activations, lane pairs
+	qAK   int       // Int8: widest FC fan-in, the row length of qA
+	qA    []uint64  // Int8: quantized FC activations, lane pairs (hw rows)
 	qASum []int32   // Int8: per-row signed sums for the A scratch
 }
 
@@ -98,14 +114,10 @@ func (n *Net) CompileOpts(maxBatch int, o CompileOpts) *Plan {
 	}
 	p.ctx.Workers = o.Workers
 
-	// Per-sample shape and element count of every activation, input first.
-	actShapes := make([][]int, len(n.layers)+1)
-	actShapes[0] = n.inShape
-	copy(actShapes[1:], n.shapes)
-	elems := make([]int, len(actShapes))
-	for i, s := range actShapes {
-		elems[i] = sampleElems(s)
-	}
+	// Per-sample shape of every activation, input first.
+	p.shapes = make([][]int, len(n.layers)+1)
+	p.shapes[0] = n.inShape
+	copy(p.shapes[1:], n.shapes)
 
 	// Step marking: fused conv/FC+ReLU pairs and in-place elementwise
 	// layers (inference only — Retain keeps the seed wiring for
@@ -144,33 +156,10 @@ func (n *Net) CompileOpts(maxBatch int, o CompileOpts) *Plan {
 		p.slots[i+1] = cur
 	}
 
-	// One arena per slot, sized to the largest activation assigned to it.
-	nSlots := 0
-	for _, s := range p.slots {
-		if s+1 > nSlots {
-			nSlots = s + 1
-		}
-	}
-	sizes := make([]int, nSlots)
+	// Each slot holds, per sample, the largest activation assigned to it.
+	p.slotElems = make([]int, slices.Max(p.slots)+1)
 	for i, s := range p.slots {
-		if need := maxBatch * elems[i]; need > sizes[s] {
-			sizes[s] = need
-		}
-	}
-	p.arenas = make([][]float32, nSlots)
-	for s, size := range sizes {
-		p.arenas[s] = make([]float32, size)
-	}
-
-	// Precompute every batch-limited activation view, killing the
-	// per-call view()/FromSlice allocations of the seed path.
-	p.views = make([][]*tensor.Tensor, maxBatch)
-	for b := 1; b <= maxBatch; b++ {
-		v := make([]*tensor.Tensor, len(p.slots))
-		for i, s := range p.slots {
-			v[i] = tensor.FromSlice(p.arenas[s][:b*elems[i]], append([]int{b}, actShapes[i]...)...)
-		}
-		p.views[b-1] = v
+		p.slotElems[s] = max(p.slotElems[s], sampleElems(p.shapes[i]))
 	}
 
 	// Size the shared im2col/patch scratch up front so no layer grows it
@@ -180,7 +169,7 @@ func (n *Net) CompileOpts(maxBatch int, o CompileOpts) *Plan {
 		switch t := l.(type) {
 		case *Conv:
 			kTaps := (t.InC / t.Groups) * t.KernelH * t.KernelW
-			outSpatial := actShapes[i+1][1] * actShapes[i+1][2]
+			outSpatial := p.shapes[i+1][1] * p.shapes[i+1][2]
 			if need := kTaps * outSpatial; need > scratch {
 				scratch = need
 			}
@@ -201,6 +190,7 @@ func (n *Net) CompileOpts(maxBatch int, o CompileOpts) *Plan {
 		p.precision = o.Precision
 		p.buildBackend(o.Precision)
 	}
+	p.reserve(1)
 	return p
 }
 
@@ -229,48 +219,67 @@ func (p *Plan) Workers() int { return p.ctx.workers() }
 // Precision returns the kernel backend the plan was compiled with.
 func (p *Plan) Precision() Precision { return p.precision }
 
-// ActivationBytes returns the plan's resident activation memory: the
-// sum of its arenas. With ping-pong aliasing this is roughly two large
-// activations instead of the seed layout's one per layer (see
-// Net.ActivationBytes for the latter).
+// ActivationBytes returns the plan's activation memory at capacity: the
+// sum of its arenas sized for maxBatch, whatever its high-water batch.
+// With ping-pong aliasing this is roughly two large activations instead
+// of the seed layout's one per layer (see Net.ActivationBytes for the
+// latter).
 func (p *Plan) ActivationBytes() int64 {
 	var total int64
-	for _, a := range p.arenas {
-		total += int64(4 * len(a))
+	for _, e := range p.slotElems {
+		total += int64(4 * p.maxBatch * e)
 	}
 	return total
+}
+
+// reserve makes the batch-sized state hold batch samples, growing it to
+// max(batch, min(2×hw, maxBatch)). Growth drops the previous arenas, so
+// views handed out before it go stale.
+func (p *Plan) reserve(batch int) {
+	if batch < 1 || batch > p.maxBatch {
+		panic(fmt.Sprintf("nn: Forward: batch %d out of range [1,%d]", batch, p.maxBatch))
+	}
+	if batch <= p.hw {
+		return
+	}
+	p.hw = max(batch, min(2*p.hw, p.maxBatch))
+	p.arenas = make([][]float32, len(p.slotElems))
+	for s, e := range p.slotElems {
+		p.arenas[s] = make([]float32, p.hw*e)
+	}
+	p.views = make([][]*tensor.Tensor, len(p.slots))
+	for i, s := range p.slots {
+		p.views[i] = tensor.BatchViews(p.arenas[s], p.shapes[i], p.hw)
+	}
+	if p.qAK > 0 {
+		p.qA = make([]uint64, tensor.PackedAInt8Len(p.hw, p.qAK))
+		p.qASum = make([]int32, p.hw)
+	}
 }
 
 // In returns the plan's input buffer as a [batch, inShape...] view.
 // Callers gather payloads directly into its Data() and then call Run —
 // the zero-copy entry the service's batch path uses.
 func (p *Plan) In(batch int) *tensor.Tensor {
-	p.checkBatch(batch)
-	return p.views[batch-1][0]
+	p.reserve(batch)
+	return p.views[0][batch-1]
 }
 
 // Out returns the output view of the last Run at the given batch.
 func (p *Plan) Out(batch int) *tensor.Tensor {
-	p.checkBatch(batch)
-	return p.views[batch-1][len(p.slots)-1]
-}
-
-func (p *Plan) checkBatch(batch int) {
-	if batch < 1 || batch > p.maxBatch {
-		panic(fmt.Sprintf("nn: Forward: batch %d out of range [1,%d]", batch, p.maxBatch))
-	}
+	p.reserve(batch)
+	return p.views[len(p.slots)-1][batch-1]
 }
 
 // Run executes the forward pass over the first batch samples already
 // gathered into In(batch), returning the output [batch, outShape...]
 // tensor. The result is owned by the plan and valid until the next Run.
 func (p *Plan) Run(batch int) *tensor.Tensor {
-	p.checkBatch(batch)
-	v := p.views[batch-1]
-	cur := v[0]
+	p.reserve(batch)
+	cur := p.views[0][batch-1]
 	for i := range p.steps {
 		st := &p.steps[i]
-		out := v[i+1]
+		out := p.views[i+1][batch-1]
 		if st.skip {
 			cur = out // aliases the fused predecessor's output
 			continue
@@ -293,12 +302,10 @@ func (p *Plan) Run(batch int) *tensor.Tensor {
 // already aliases In(batch) (a caller that gathered in place).
 func (p *Plan) Forward(input *tensor.Tensor) *tensor.Tensor {
 	batch := input.Dim(0)
-	p.checkBatch(batch)
 	if wantPer := sampleElems(p.net.inShape); input.Len() != batch*wantPer {
 		panic(fmt.Sprintf("nn: Forward: input %v does not match net input shape %v", input.Shape(), p.net.inShape))
 	}
-	dst := p.views[batch-1][0]
-	src, d := input.Data(), dst.Data()
+	src, d := input.Data(), p.In(batch).Data()
 	if len(src) == 0 || len(d) == 0 || &src[0] != &d[0] {
 		copy(d, src)
 	}

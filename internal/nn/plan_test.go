@@ -2,6 +2,7 @@ package nn
 
 import (
 	"fmt"
+	"math/bits"
 	"sync"
 	"testing"
 
@@ -38,24 +39,44 @@ func randInput(n *Net, batch int, seed uint64) *tensor.Tensor {
 	return in
 }
 
+// TestPlanMatchesRunnerBitIdentical drives plans through batch
+// sequences that climb, shrink and jump to capacity. Every output must be
+// bit-identical to a reference built for that batch alone (a Runner; at
+// Int8, a fresh Int8 plan), whether the input arrives through Forward or
+// is gathered into In before Run.
 func TestPlanMatchesRunnerBitIdentical(t *testing.T) {
+	const maxBatch = 9
+	seqs := [][]int{{1, 2, 3, 4, 5}, {1, 5, 2, maxBatch, 3}, {4, 4, 1, 8, 9, 2}, {maxBatch, 1, 7}}
 	for _, build := range []func(uint64) *Net{smallCNN, zooNet} {
 		n := build(3)
-		const maxBatch = 5
-		runner := n.NewRunner(maxBatch)
-		for _, workers := range []int{1, 2, 4} {
-			plan := n.CompileOpts(maxBatch, CompileOpts{Workers: workers})
-			for batch := 1; batch <= maxBatch; batch++ {
-				in := randInput(n, batch, uint64(batch))
-				want := runner.Forward(in)
-				got := plan.Forward(in)
-				if !shapeEq(got.Shape(), want.Shape()) {
-					t.Fatalf("%s: plan shape %v, runner %v", n.Name(), got.Shape(), want.Shape())
-				}
-				for i := range got.Data() {
-					if got.Data()[i] != want.Data()[i] {
-						t.Fatalf("%s workers=%d batch=%d: out[%d]=%v, runner %v (must be bit-identical)",
-							n.Name(), workers, batch, i, got.Data()[i], want.Data()[i])
+		for _, prec := range []Precision{Float32, Int8} {
+			for _, workers := range []int{1, 2, 4} {
+				for _, seq := range seqs {
+					plan := n.CompileOpts(maxBatch, CompileOpts{Workers: workers, Precision: prec})
+					for step, batch := range seq {
+						in := randInput(n, batch, uint64(10*step+batch))
+						var want *tensor.Tensor
+						if prec == Float32 {
+							want = n.NewRunner(batch).Forward(in)
+						} else {
+							want = n.CompileOpts(batch, CompileOpts{Precision: prec}).Forward(in)
+						}
+						var got *tensor.Tensor
+						if step%2 == 0 {
+							got = plan.Forward(in)
+						} else {
+							copy(plan.In(batch).Data(), in.Data())
+							got = plan.Run(batch)
+						}
+						if !shapeEq(got.Shape(), want.Shape()) {
+							t.Fatalf("%s %v seq %v step %d: shape %v, want %v", n.Name(), prec, seq, step, got.Shape(), want.Shape())
+						}
+						for i := range got.Data() {
+							if got.Data()[i] != want.Data()[i] {
+								t.Fatalf("%s %v workers=%d seq %v step %d (batch %d): out[%d]=%v, want %v (must be bit-identical)",
+									n.Name(), prec, workers, seq, step, batch, i, got.Data()[i], want.Data()[i])
+							}
+						}
 					}
 				}
 			}
@@ -118,11 +139,68 @@ func TestPlanActivationMemoryShrinks(t *testing.T) {
 func TestPlanZeroAllocSteadyState(t *testing.T) {
 	for _, build := range []func(uint64) *Net{smallCNN, zooNet} {
 		n := build(6)
-		plan := n.Compile(4)
-		in := randInput(n, 4, 1)
-		plan.Forward(in) // warm up (nothing should grow, but be fair)
-		if allocs := testing.AllocsPerRun(20, func() { plan.Forward(in) }); allocs != 0 {
-			t.Fatalf("%s: %.1f allocs per forward on the serial plan path, want 0", n.Name(), allocs)
+		plan := n.Compile(16)
+		plan.Forward(randInput(n, 5, 1)) // high-water batch 5
+		for b := 1; b <= 5; b++ {
+			in := randInput(n, b, uint64(b))
+			if allocs := testing.AllocsPerRun(20, func() { plan.Forward(in) }); allocs != 0 {
+				t.Fatalf("%s batch %d: %.1f allocs per forward on the serial plan path, want 0", n.Name(), b, allocs)
+			}
+		}
+		if plan.hw != 5 {
+			t.Fatalf("%s: high-water batch %d after batches ≤ 5, want 5", n.Name(), plan.hw)
+		}
+	}
+}
+
+// TestPlanGrowthBound climbs one batch at a time to capacity, the worst
+// case for the doubling rule, and counts how often the plan builds its
+// batch-sized state: at most ⌈log₂ maxBatch⌉+1 times, Compile included.
+func TestPlanGrowthBound(t *testing.T) {
+	n := smallCNN(13)
+	for _, maxBatch := range []int{1, 2, 7, 64, 100, 1096} {
+		plan := n.CompileOpts(maxBatch, CompileOpts{Precision: Int8})
+		builds := 1
+		for b := 1; b <= maxBatch; b++ {
+			hw := plan.hw
+			plan.In(b)
+			if plan.hw != hw {
+				builds++
+			}
+		}
+		if bound := bits.Len(uint(maxBatch-1)) + 1; builds > bound {
+			t.Fatalf("maxBatch %d: %d builds, want ≤ %d", maxBatch, builds, bound)
+		}
+		if plan.hw != maxBatch || len(plan.qASum) != maxBatch {
+			t.Fatalf("maxBatch %d: high-water %d, int8 FC rows %d after running every batch", maxBatch, plan.hw, len(plan.qASum))
+		}
+	}
+}
+
+// TestPlanCompileHoldsOneSample: a plan compiled for a large batch cap
+// holds one sample's arenas until it runs, then just what it ran, while
+// ActivationBytes keeps reporting the at-capacity figure.
+func TestPlanCompileHoldsOneSample(t *testing.T) {
+	n := zooNet(14)
+	const maxBatch = 1096
+	plan := n.CompileOpts(maxBatch, CompileOpts{Precision: Int8})
+	var perSample int64
+	for s, a := range plan.arenas {
+		if len(a) != plan.slotElems[s] {
+			t.Fatalf("fresh plan: arena %d holds %d floats, want one sample's %d", s, len(a), plan.slotElems[s])
+		}
+		perSample += int64(4 * len(a))
+	}
+	if len(plan.qASum) != 1 {
+		t.Fatalf("fresh plan: int8 FC scratch has %d rows, want 1", len(plan.qASum))
+	}
+	if got, want := plan.ActivationBytes(), maxBatch*perSample; got != want {
+		t.Fatalf("ActivationBytes %d, want the at-capacity %d", got, want)
+	}
+	plan.Forward(randInput(n, 12, 1))
+	for s, a := range plan.arenas {
+		if len(a) != 12*plan.slotElems[s] {
+			t.Fatalf("after a 12-sample batch: arena %d holds %d floats, want %d", s, len(a), 12*plan.slotElems[s])
 		}
 	}
 }
@@ -157,7 +235,7 @@ func TestPlanConcurrentCheckoutsOverSharedNet(t *testing.T) {
 	// Net forwarding concurrently, with intra-op workers enabled, must
 	// neither race on the weights nor corrupt each other's results.
 	n := zooNet(8)
-	const maxBatch = 3
+	const maxBatch = 6
 	ref := n.NewRunner(maxBatch)
 	inputs := make([]*tensor.Tensor, maxBatch)
 	wants := make([][]float32, maxBatch)

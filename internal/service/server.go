@@ -393,10 +393,10 @@ func (s *Server) Register(name string, netw *nn.Net, cfg AppConfig) error {
 	}()
 	// Compile the app's execution plans once at registration — DjiNN's
 	// load-once model extended to the forward path itself: weights are
-	// shared read-only, and each plan carries the precomputed activation
-	// views, arenas and scratch a batch needs, so the steady-state
-	// forward path allocates nothing. Workers check a plan out of the
-	// pool per batch and return it when done.
+	// shared read-only, and each plan carries the activation views, arenas
+	// and scratch a batch needs, built for the largest batch it has run,
+	// so the steady-state forward path allocates nothing. Workers check a
+	// plan out of the pool per batch and return it when done.
 	a.plans = make(chan *nn.Plan, cfg.Workers)
 	for w := 0; w < cfg.Workers; w++ {
 		a.plans <- netw.CompileOpts(cfg.BatchInstances, nn.CompileOpts{Workers: cfg.IntraOpWorkers, Precision: cfg.Precision})

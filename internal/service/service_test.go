@@ -10,6 +10,7 @@ import (
 	"testing/quick"
 	"time"
 
+	"djinn/internal/models"
 	"djinn/internal/nn"
 	"djinn/internal/tensor"
 	"djinn/internal/testutil"
@@ -195,6 +196,44 @@ func TestQueryLargerThanRunnerBatchIsChunked(t *testing.T) {
 		for i := range want {
 			if math.Abs(float64(out[k*4+i]-want[i])) > 1e-6 {
 				t.Fatalf("instance %d mismatch", k)
+			}
+		}
+	}
+}
+
+// TestPlanGrowsBetweenQueries sends a 548-frame ASR-width query to an
+// app whose only plan has so far run a 12-frame one, so the plan grows
+// between the two: each answer must carry the bits of a plan that ran
+// that query as a batch of its own.
+func TestPlanGrowsBetweenQueries(t *testing.T) {
+	testutil.NoLeaks(t)
+	const dim = models.ASRFeatureDim
+	rng := tensor.NewRNG(31)
+	netw := nn.NewNet("asr-width", nn.KindDNN, dim)
+	netw.Add(nn.NewFC("fc1", rng, dim, 64)).
+		Add(nn.NewSigmoid("sig1")).
+		Add(nn.NewFC("fc2", rng, 64, 32)).
+		Add(nn.NewSoftmax("prob"))
+	s := NewServer()
+	s.SetLogger(silence)
+	defer s.Close()
+	if err := s.Register("asr", netw, AppConfig{BatchInstances: 1096, Workers: 1}); err != nil {
+		t.Fatal(err)
+	}
+	for _, frames := range []int{12, 548} {
+		in := make([]float32, frames*dim)
+		tensor.NewRNG(uint64(frames)).FillNorm(in, 0, 1)
+		out, err := s.Infer("asr", in)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := netw.Compile(frames).Forward(tensor.FromSlice(in, frames, dim)).Data()
+		if len(out) != len(want) {
+			t.Fatalf("%d frames: %d outputs, want %d", frames, len(out), len(want))
+		}
+		for i := range want {
+			if out[i] != want[i] {
+				t.Fatalf("%d frames: out[%d]=%v, a batch of its own gives %v", frames, i, out[i], want[i])
 			}
 		}
 	}

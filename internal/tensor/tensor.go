@@ -35,6 +35,29 @@ func FromSlice(data []float32, shape ...int) *Tensor {
 	return &Tensor{shape: append([]int(nil), shape...), data: data}
 }
 
+// BatchViews wraps the front of data in n tensors, one per batch size:
+// view b-1 has shape [b, sample...] over data[:b*per], per being the
+// sample's element count. The n views share three allocations however
+// large n is.
+func BatchViews(data []float32, sample []int, n int) []*Tensor {
+	per := checkShape(sample)
+	if n < 1 || len(data) < n*per {
+		panic(fmt.Sprintf("tensor: %d floats cannot hold %d samples of %v", len(data), n, sample))
+	}
+	rank := len(sample) + 1
+	ts := make([]Tensor, n)
+	shapes := make([]int, n*rank)
+	views := make([]*Tensor, n)
+	for b := 1; b <= n; b++ {
+		s := shapes[(b-1)*rank : b*rank : b*rank]
+		s[0] = b
+		copy(s[1:], sample)
+		ts[b-1] = Tensor{shape: s, data: data[:b*per]}
+		views[b-1] = &ts[b-1]
+	}
+	return views
+}
+
 func checkShape(shape []int) int {
 	if len(shape) == 0 {
 		panic("tensor: empty shape")

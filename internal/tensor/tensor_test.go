@@ -44,6 +44,33 @@ func TestFromSliceSharesStorage(t *testing.T) {
 	}
 }
 
+func TestBatchViews(t *testing.T) {
+	d := make([]float32, 4*6+1)
+	sample := []int{2, 3}
+	views := BatchViews(d, sample, 4)
+	for b, v := range views {
+		if got := v.Shape(); len(got) != 3 || got[0] != b+1 || got[1] != 2 || got[2] != 3 {
+			t.Fatalf("view %d shape %v, want [%d 2 3]", b, got, b+1)
+		}
+		if v.Len() != (b+1)*6 || &v.Data()[0] != &d[0] {
+			t.Fatalf("view %d covers %d floats at a different base, want the first %d of data", b, v.Len(), (b+1)*6)
+		}
+	}
+	views[3].Set(7, 3, 1, 2)
+	if d[23] != 7 {
+		t.Fatal("BatchViews should not copy")
+	}
+	if allocs := testing.AllocsPerRun(10, func() { BatchViews(d, sample, 4) }); allocs > 3 {
+		t.Fatalf("%.0f allocations for 4 views, want ≤ 3", allocs)
+	}
+	defer func() {
+		if recover() == nil {
+			t.Fatal("BatchViews past the end of data should panic")
+		}
+	}()
+	BatchViews(d, sample, 5)
+}
+
 func TestReshapeSharesStorage(t *testing.T) {
 	x := New(2, 6)
 	y := x.Reshape(3, 4)

@@ -19,15 +19,16 @@ var imageMean = [3]float32{0.407, 0.458, 0.485}
 // float32 planes with mean subtraction — Caffe's image preprocessing.
 func ToTensor(img image.Image, w, h int, mean [3]float32) []float32 {
 	b := img.Bounds()
+	src := newPixels(img)
 	out := make([]float32, 3*w*h)
 	sw := float64(b.Dx()) / float64(w)
 	sh := float64(b.Dy()) / float64(h)
 	for y := 0; y < h; y++ {
 		for x := 0; x < w; x++ {
 			// Bilinear sample at the source-space centre of this pixel.
-			fx := (float64(x)+0.5)*sw - 0.5
-			fy := (float64(y)+0.5)*sh - 0.5
-			r, g, bl := bilinear(img, fx, fy)
+			fx := (float64(x)+0.5)*sw - 0.5 + float64(b.Min.X)
+			fy := (float64(y)+0.5)*sh - 0.5 + float64(b.Min.Y)
+			r, g, bl := bilinear(&src, b, fx, fy)
 			out[0*w*h+y*w+x] = r - mean[0]
 			out[1*w*h+y*w+x] = g - mean[1]
 			out[2*w*h+y*w+x] = bl - mean[2]
@@ -36,8 +37,9 @@ func ToTensor(img image.Image, w, h int, mean [3]float32) []float32 {
 	return out
 }
 
-func bilinear(img image.Image, fx, fy float64) (r, g, b float32) {
-	bounds := img.Bounds()
+// bilinear samples src at the absolute source coordinate (fx, fy),
+// clamping taps into bounds.
+func bilinear(src *pixels, bounds image.Rectangle, fx, fy float64) (r, g, b float32) {
 	clamp := func(v, lo, hi int) int {
 		if v < lo {
 			return lo
@@ -59,19 +61,59 @@ func bilinear(img image.Image, fx, fy float64) (r, g, b float32) {
 	if dy < 0 {
 		dy = 0
 	}
-	sample := func(x, y int) (float32, float32, float32) {
-		cr, cg, cb, _ := img.At(x, y).RGBA()
-		return float32(cr) / 65535, float32(cg) / 65535, float32(cb) / 65535
-	}
-	r00, g00, b00 := sample(x0, y0)
-	r10, g10, b10 := sample(x1, y0)
-	r01, g01, b01 := sample(x0, y1)
-	r11, g11, b11 := sample(x1, y1)
+	r00, g00, b00 := src.at(x0, y0)
+	r10, g10, b10 := src.at(x1, y0)
+	r01, g01, b01 := src.at(x0, y1)
+	r11, g11, b11 := src.at(x1, y1)
 	lerp := func(a, b, t float32) float32 { return a + (b-a)*t }
 	r = lerp(lerp(r00, r10, dx), lerp(r01, r11, dx), dy)
 	g = lerp(lerp(g00, g10, dx), lerp(g01, g11, dx), dy)
 	b = lerp(lerp(b00, b10, dx), lerp(b01, b11, dx), dy)
 	return r, g, b
+}
+
+// pixels reads an image's colour channels as RGBA()'s premultiplied
+// 16-bit values scaled to [0,1]. The 8-bit types the standard decoders
+// produce are read straight from Pix; any other image goes through At,
+// which boxes a color.Color per call.
+type pixels struct {
+	img    image.Image
+	pix    []uint8 // nil: read through img.At
+	stride int
+	origin image.Point // the coordinate of pix[0]
+	nrgba  bool        // pix is non-premultiplied
+}
+
+func newPixels(img image.Image) pixels {
+	base := img
+	if c, ok := img.(*croppedImage); ok {
+		base = c.img
+	}
+	switch t := base.(type) {
+	case *image.RGBA:
+		return pixels{img: img, pix: t.Pix, stride: t.Stride, origin: t.Rect.Min}
+	case *image.NRGBA:
+		return pixels{img: img, pix: t.Pix, stride: t.Stride, origin: t.Rect.Min, nrgba: true}
+	}
+	return pixels{img: img}
+}
+
+func (p *pixels) at(x, y int) (r, g, b float32) {
+	var cr, cg, cb uint32
+	if p.pix == nil {
+		cr, cg, cb, _ = p.img.At(x, y).RGBA()
+	} else {
+		i := (y-p.origin.Y)*p.stride + (x-p.origin.X)*4
+		s := p.pix[i : i+4 : i+4]
+		// color.RGBA.RGBA widens v to v*0x101; color.NRGBA.RGBA then
+		// premultiplies by alpha with the same integer division.
+		cr, cg, cb = uint32(s[0])*0x101, uint32(s[1])*0x101, uint32(s[2])*0x101
+		if p.nrgba {
+			a := uint32(s[3])
+			cr, cg, cb = cr*a/0xff, cg*a/0xff, cb*a/0xff
+		}
+	}
+	return float32(cr) / 65535, float32(cg) / 65535, float32(cb) / 65535
 }
 
 // IMC is the image-classification application (AlexNet over 1000

@@ -203,6 +203,71 @@ func TestCenterSquare(t *testing.T) {
 	}
 }
 
+// TestCenterSquareSamplesTheCrop resamples the centre crop of an image
+// whose left half is black and right half red: the crop straddles the
+// seam at its middle, so the left half of the output must be black and
+// the right half red.
+func TestCenterSquareSamplesTheCrop(t *testing.T) {
+	img := image.NewRGBA(image.Rect(0, 0, 640, 480))
+	for y := 0; y < 480; y++ {
+		for x := 320; x < 640; x++ {
+			img.Set(x, y, color.RGBA{R: 255, A: 255})
+		}
+	}
+	out := ToTensor(centerSquare(img), 8, 8, [3]float32{})
+	for y := 0; y < 8; y++ {
+		for x := 0; x < 8; x++ {
+			want := float32(0)
+			if x >= 4 {
+				want = 1
+			}
+			if got := out[y*8+x]; got != want {
+				t.Fatalf("output (%d,%d) red %v, want %v", x, y, got, want)
+			}
+		}
+	}
+}
+
+// opaque hides an image's concrete type, so ToTensor reads it through At.
+type opaque struct{ image.Image }
+
+// TestToTensorFastPathMatchesAt: reading RGBA and NRGBA pixels straight
+// from Pix must give the same float32 bits as the color.Color path, on
+// whole images, sub-images and centre crops.
+func TestToTensorFastPathMatchesAt(t *testing.T) {
+	rng := tensor.NewRNG(6)
+	rgba := workload.Image(rng, 97, 61).(*image.RGBA)
+	nrgba := image.NewNRGBA(image.Rect(0, 0, 97, 61))
+	for i := range nrgba.Pix {
+		nrgba.Pix[i] = uint8(rng.Intn(256))
+	}
+	cases := map[string]image.Image{
+		"rgba":      rgba,
+		"nrgba":     nrgba,
+		"rgba-sub":  rgba.SubImage(image.Rect(13, 7, 80, 50)),
+		"nrgba-sub": nrgba.SubImage(image.Rect(13, 7, 80, 50)),
+	}
+	for name, img := range cases {
+		check := func(what string, fast, slow image.Image) {
+			got, want := ToTensor(fast, 31, 23, imageMean), ToTensor(slow, 31, 23, imageMean)
+			for i := range want {
+				if math.Float32bits(got[i]) != math.Float32bits(want[i]) {
+					t.Fatalf("%s %s: out[%d]=%v, At path %v", name, what, i, got[i], want[i])
+				}
+			}
+		}
+		check("whole", img, opaque{img})
+		check("crop", centerSquare(img), centerSquare(opaque{img}))
+	}
+}
+
+func TestToTensorAllocations(t *testing.T) {
+	img := workload.Image(tensor.NewRNG(7), 640, 480)
+	if allocs := testing.AllocsPerRun(3, func() { ToTensor(img, 227, 227, imageMean) }); allocs > 2 {
+		t.Fatalf("%.0f allocations per 640×480 → 227² resize, want ≤ 2", allocs)
+	}
+}
+
 func TestDecodePhonesCollapsesRuns(t *testing.T) {
 	// Build posteriors strongly favouring phone 5 for 10 frames then
 	// phone 7 for 10 frames: decode must yield exactly those two.
