@@ -8,7 +8,7 @@ BENCH_COUNT ?= 5
 BENCH_TIME  ?= 200ms
 BENCH_PKGS  ?= ./internal/tensor/... ./internal/nn/... ./internal/models/...
 
-.PHONY: check vet build test race bench bench-all benchcmp benchab models dash gateway
+.PHONY: check vet build test race results bench bench-all benchcmp benchab models gateway
 
 # check runs everything CI should gate on: vet, a full build, the full
 # test suite (tier-1), and race-detector runs for the concurrency-heavy
@@ -17,8 +17,9 @@ BENCH_PKGS  ?= ./internal/tensor/... ./internal/nn/... ./internal/models/...
 # shared-plan paths). race first repeats the aggregator hand-off,
 # admission and plan tests twenty times on one and on four procs: they
 # hold the batching rule's orderings and plan growth under concurrent
-# checkouts, which a single pass can get right by luck.
-check: vet build test race
+# checkouts, which a single pass can get right by luck. results then
+# regenerates the paper's evaluation and compares it with RESULTS.txt.
+check: vet build test race results
 
 # vet is static analysis plus a formatting gate: gofmt -l prints the
 # files that need reformatting, so any output fails the target.
@@ -38,12 +39,12 @@ race:
 	GOMAXPROCS=4 $(GO) test -race -count=20 -run 'TestAggregator|TestAdmission|TestPastDeadline|TestPlan' ./internal/service ./internal/sched ./internal/nn
 	$(GO) test -race ./internal/tensor/... ./internal/nn/... ./internal/models/... ./internal/modelstore/... ./internal/service/... ./internal/sched/... ./internal/metrics/... ./internal/router/... ./internal/workload/... ./internal/trace/... ./internal/admin/... ./internal/controlplane/... ./internal/timeseries/... ./internal/events/... ./internal/alerts/... ./internal/gateway/... ./internal/pipeline/...
 
-# dash is an observability smoke test: the obsfleet experiment stands
-# up an observed three-replica fleet, kills an assignee mid-load, and
-# prints the journaled alert lifecycle, the merged-histogram fleet
-# p99, and the collector's overhead accounting.
-dash:
-	$(GO) run ./cmd/djinn-bench -exp obsfleet
+# results regenerates every deterministic experiment (the paper's
+# tables and figures plus the model-based extensions) and fails unless
+# the output is byte-identical to the committed RESULTS.txt. It takes
+# about half a minute, so it sits in check but not in test.
+results:
+	$(GO) run ./cmd/djinn-bench | cmp - RESULTS.txt
 
 # gateway is an HTTP-tier smoke test: boot djinn-service with the
 # JSON gateway enabled, POST the same POS query twice, and show the

@@ -1,16 +1,21 @@
 // Command djinn-bench regenerates the paper's evaluation: every table
-// and figure, as text tables, from the calibrated performance models
-// (see DESIGN.md's per-experiment index).
+// and figure, and the deterministic extensions beside them, as text
+// tables from the calibrated performance models (see DESIGN.md's
+// per-experiment index). With no -exp it prints exactly RESULTS.txt.
 //
 // Usage:
 //
-//	djinn-bench                 # everything
+//	djinn-bench                 # everything in RESULTS.txt, in its order
 //	djinn-bench -exp fig7       # one experiment
 //	djinn-bench -list           # list experiment ids
 //
-// The quant experiment additionally honours -quant-json: a path the
-// machine-readable sweep (the same cells the table renders) is written
-// to, e.g. `djinn-bench -exp quant -quant-json BENCH_quant.json`.
+// Two ids measure the live engine on the host instead of the models,
+// so they are reachable through -exp only: sched (the SLO-aware
+// scheduler against static batch caps on an in-process fleet) and
+// quant (plan throughput and int8 agreement per precision). quant
+// additionally honours -quant-json: a path the machine-readable sweep
+// (the same cells the table renders) is written to, e.g.
+// `djinn-bench -exp quant -quant-json BENCH_quant.json`.
 package main
 
 import (
@@ -33,40 +38,32 @@ func main() {
 
 	p := djinn.NewPlatform()
 	runners := map[string]func() string{
-		"table1":       experiments.RenderTable1,
-		"table2":       p.RenderTable2,
-		"table3":       experiments.RenderTable3,
-		"table4":       experiments.RenderTable4,
-		"table5":       experiments.RenderTable5,
-		"table6":       experiments.RenderTable6,
-		"fig4":         p.RenderFig4,
-		"fig5":         p.RenderFig5,
-		"fig6":         p.RenderFig6,
-		"fig7":         p.RenderFig7,
-		"fig8":         p.RenderFig8,
-		"fig9":         p.RenderFig8, // Figures 8 and 9 share one experiment
-		"fig10":        p.RenderFig10,
-		"fig11":        func() string { return p.RenderFig11(true) },
-		"fig12":        func() string { return p.RenderFig11(false) },
-		"fig13":        p.RenderFig13,
-		"fig15":        p.RenderFig15,
-		"fig16":        p.RenderFig16,
-		"ablation":     p.RenderAblations,
-		"openloop":     p.RenderOpenLoop,
-		"lifecycle":    experiments.RenderLifecycle,
-		"router":       p.RenderRouter,
-		"sched":        experiments.RenderSched,
-		"overhead":     p.RenderOverhead,
-		"energy":       p.RenderEnergy,
-		"validate":     p.RenderValidation,
-		"cluster":      p.RenderCluster,
-		"gpugen":       p.RenderFutureGPUs,
-		"engine":       experiments.RenderEngine,
-		"modelstore":   experiments.RenderModelStore,
-		"controlplane": experiments.RenderControlPlane,
-		"obsfleet":     experiments.RenderObsFleet,
-		"gateway":      experiments.RenderGateway,
-		"quant":        experiments.RenderQuant,
+		"table1":   experiments.RenderTable1,
+		"table2":   p.RenderTable2,
+		"table3":   experiments.RenderTable3,
+		"table4":   experiments.RenderTable4,
+		"table5":   experiments.RenderTable5,
+		"table6":   experiments.RenderTable6,
+		"fig4":     p.RenderFig4,
+		"fig5":     p.RenderFig5,
+		"fig6":     p.RenderFig6,
+		"fig7":     p.RenderFig7,
+		"fig8":     p.RenderFig8,
+		"fig9":     p.RenderFig8, // Figures 8 and 9 share one experiment
+		"fig10":    p.RenderFig10,
+		"fig11":    func() string { return p.RenderFig11(true) },
+		"fig12":    func() string { return p.RenderFig11(false) },
+		"fig13":    p.RenderFig13,
+		"fig15":    p.RenderFig15,
+		"fig16":    p.RenderFig16,
+		"ablation": p.RenderAblations,
+		"openloop": p.RenderOpenLoop,
+		"sched":    experiments.RenderSched,
+		"energy":   p.RenderEnergy,
+		"validate": p.RenderValidation,
+		"cluster":  p.RenderCluster,
+		"gpugen":   p.RenderFutureGPUs,
+		"quant":    experiments.RenderQuant,
 	}
 	if *quantJSON != "" {
 		runners["quant"] = func() string {
@@ -85,8 +82,7 @@ func main() {
 	order := []string{
 		"table1", "table2", "table3", "fig4", "fig5", "fig6", "fig7", "fig8", "fig10",
 		"fig11", "fig12", "fig13", "table4", "table5", "fig15", "table6", "fig16",
-		"ablation", "openloop", "lifecycle", "router", "sched", "overhead", "energy", "validate", "cluster", "gpugen",
-		"engine", "modelstore", "controlplane", "obsfleet", "gateway", "quant",
+		"ablation", "openloop", "energy", "validate", "cluster", "gpugen",
 	}
 	if *list {
 		ids := make([]string, 0, len(runners))

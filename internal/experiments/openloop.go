@@ -9,8 +9,11 @@ import (
 )
 
 // Extension experiment (not a paper figure): the latency/load curve of
-// the DjiNN service under open-loop Poisson arrivals, through the real
-// batching policy (size threshold + window flush). The paper evaluates
+// the DjiNN service under open-loop Poisson arrivals, through gpusim's
+// model of the paper's size-or-2 ms-window batching policy (size
+// threshold + window flush). The Go server does not batch this way:
+// it is work-conserving, handing a pending batch to the first idle
+// worker instead of waiting out the window. The paper evaluates
 // throughput at saturation and latency per batch size; this adds the
 // serving-systems view — where the latency elbow sits as offered load
 // approaches the Figure 10 capacity.

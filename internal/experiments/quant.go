@@ -176,6 +176,29 @@ func QuantSweep(cfg QuantConfig) []QuantCell {
 	return cells
 }
 
+// measure times fn until both minimums are met and returns
+// (forward calls per second, heap allocations per call).
+func measure(minTime time.Duration, minIters int, fn func()) (float64, float64) {
+	fn() // warm up: scratch growth, first-touch
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	start := time.Now()
+	iters := 0
+	for {
+		fn()
+		iters++
+		if iters >= minIters && time.Since(start) >= minTime {
+			break
+		}
+	}
+	elapsed := time.Since(start)
+	runtime.ReadMemStats(&after)
+	allocs := float64(after.Mallocs-before.Mallocs) / float64(iters)
+	// ReadMemStats itself allocates nothing, but the timing calls may:
+	// the two time.Since/Now pairs are alloc-free, so the delta is fn's.
+	return float64(iters) / elapsed.Seconds(), allocs
+}
+
 // RenderQuant prints the precision comparison for all seven Tonic
 // networks, the form `djinn-bench -exp quant` emits.
 func RenderQuant() string {

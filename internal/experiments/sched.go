@@ -16,8 +16,8 @@ import (
 // canonical accelerator cost shape behind the paper's batching result:
 // a big batch amortises the launch, so throughput hinges on batch size
 // while per-query latency grows with it. It is the model under the
-// scheduler sweep: pacedLayer's flat per-instance time (the router
-// sweep's capacity unit) has no batching tradeoff to schedule.
+// scheduler sweep: a flat per-instance cost would leave no batching
+// tradeoff to schedule.
 type batchPacedLayer struct {
 	fixed, per time.Duration
 }

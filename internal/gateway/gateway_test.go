@@ -12,8 +12,10 @@ import (
 	"testing"
 
 	"djinn/internal/models"
+	"djinn/internal/router"
 	"djinn/internal/service"
 	"djinn/internal/tonic"
+	"djinn/internal/trace"
 )
 
 // errBackend returns a fixed error from every inference, for testing
@@ -250,9 +252,20 @@ func TestGatewayAudioRoundTrip(t *testing.T) {
 	_ = base64.StdEncoding // keep import symmetry with the wire format
 }
 
+// TestGatewayPipelineEndpoint runs a stage DAG — pos, then chk ∥ ner
+// off the same input — through /v1/pipeline over a router and two
+// replicas. The gateway, router and replica trace stores must merge
+// into one trace: one span per stage plus the replica-tier spans
+// beneath them.
 func TestGatewayPipelineEndpoint(t *testing.T) {
-	gw := newNLPGateway(t, Config{})
-	body := `{"stages":[{"name":"tag","app":"pos"},{"name":"rec","app":"ner","after":["tag"]}],"text":"barack obama visited paris"}`
+	rt, servers := newNLPFleet(t, router.Config{Policy: router.LeastOutstanding}, 2)
+	gw, err := New(Config{Backend: rt})
+	if err != nil {
+		t.Fatal(err)
+	}
+	body := `{"stages":[{"name":"tag","app":"pos"},` +
+		`{"name":"chunk","app":"chk","after":["tag"]},` +
+		`{"name":"rec","app":"ner","after":["tag"]}],"text":"barack obama visited paris"}`
 	w := postJSON(gw, "/v1/pipeline", body, nil)
 	if w.Code != 200 {
 		t.Fatalf("pipeline: status %d (%s)", w.Code, w.Body.String())
@@ -267,20 +280,29 @@ func TestGatewayPipelineEndpoint(t *testing.T) {
 	if err := json.Unmarshal(w.Body.Bytes(), &r); err != nil {
 		t.Fatal(err)
 	}
-	if len(r.Stages) != 2 {
-		t.Fatalf("want 2 stage results, got %d", len(r.Stages))
+	if len(r.Stages) != 3 {
+		t.Fatalf("want 3 stage results, got %d", len(r.Stages))
 	}
-	tr, ok := gw.Traces().Get(r.TraceID)
+	tr, ok := trace.Merge(r.TraceID, gw.Traces(), rt.TraceStore(),
+		servers[0].TraceStore(), servers[1].TraceStore())
 	if !ok {
 		t.Fatalf("no trace for pipeline %s", r.TraceID)
 	}
-	var stageSpans int
+	// Merge prefixes each span with its tier: "gateway/stage:tag".
+	stages := map[string]int{}
+	var replicaSpans int
 	for _, sp := range tr.Spans {
-		if strings.HasPrefix(sp.Name, "stage:") {
-			stageSpans++
+		if _, stage, ok := strings.Cut(sp.Name, "stage:"); ok {
+			stages[stage]++
+		}
+		if strings.HasPrefix(sp.Name, "replica-") {
+			replicaSpans++
 		}
 	}
-	if stageSpans != 2 {
-		t.Errorf("want 2 stage spans in the gateway trace, got %d: %+v", stageSpans, tr.Spans)
+	if len(stages) != 3 || stages["tag"] != 1 || stages["chunk"] != 1 || stages["rec"] != 1 {
+		t.Errorf("want one span per stage, got %v:\n%s", stages, tr.Format())
+	}
+	if replicaSpans == 0 {
+		t.Errorf("merged trace has no replica-tier span:\n%s", tr.Format())
 	}
 }

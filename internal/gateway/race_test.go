@@ -17,7 +17,36 @@ import (
 	"djinn/internal/service"
 	"djinn/internal/testutil"
 	"djinn/internal/tonic"
+	"djinn/internal/trace"
 )
+
+// newNLPFleet stands up n in-process replicas serving the SENNA taggers
+// (POS, CHK, NER) behind one router, each recording spans into its own
+// trace store ("replica-0", ...). The test's cleanup closes the router
+// and every replica; closing a replica early is fine.
+func newNLPFleet(t *testing.T, cfg router.Config, n int) (*router.Router, []*service.Server) {
+	t.Helper()
+	rt := router.New(cfg)
+	t.Cleanup(rt.Close)
+	servers := make([]*service.Server, n)
+	for i := range servers {
+		name := fmt.Sprintf("replica-%d", i)
+		srv := service.NewServer()
+		srv.SetLogger(func(string, ...any) {})
+		srv.SetTraceStore(trace.NewStore(name, 0))
+		t.Cleanup(srv.Close)
+		for _, a := range []models.App{models.POS, models.CHK, models.NER} {
+			if err := tonic.Register(srv, a); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := rt.AddBackend(name, srv); err != nil {
+			t.Fatal(err)
+		}
+		servers[i] = srv
+	}
+	return rt, servers
+}
 
 // TestGatewayKillReplicaMidRunZeroLost drives concurrent HTTP clients
 // through the full gateway → router → replica stack — cacheable
@@ -28,29 +57,11 @@ import (
 // goroutines may leak.
 func TestGatewayKillReplicaMidRunZeroLost(t *testing.T) {
 	testutil.NoLeaks(t)
-	rt := router.New(router.Config{
+	rt, servers := newNLPFleet(t, router.Config{
 		Policy: router.LeastOutstanding,
 		Health: router.HealthConfig{FailureThreshold: 2, ProbeInterval: 100 * time.Millisecond},
-	})
-	defer rt.Close()
-	var victim *service.Server
-	for i := 0; i < 3; i++ {
-		srv := service.NewServer()
-		srv.SetLogger(func(string, ...any) {})
-		for _, a := range []models.App{models.POS, models.NER} {
-			if err := tonic.Register(srv, a); err != nil {
-				t.Fatal(err)
-			}
-		}
-		if err := rt.AddBackend(fmt.Sprintf("replica-%d", i), srv); err != nil {
-			t.Fatal(err)
-		}
-		if i == 0 {
-			victim = srv
-		} else {
-			defer srv.Close()
-		}
-	}
+	}, 3)
+	victim := servers[0]
 	gw, err := New(Config{
 		Backend: rt,
 		Limit:   LimitConfig{Rate: 50, Burst: 10},

@@ -51,12 +51,13 @@ func (s *Server) ModelStats() (modelstore.Stats, bool) {
 	return reg.Stats(), true
 }
 
-// dispatchStored serves a query for a name with no registered app by
-// faulting the model in from the store. The model is pinned for the
-// query's whole lifetime — Acquire before enqueue, Release after the
-// response — so eviction can never unmap pages a forward pass is
-// reading. The app registered for a stored model is named by the full
-// versioned ID, so two versions of one model serve side by side.
+// dispatchStored serves a query for a store model, faulting it in if
+// it is not resident. The model is pinned for the query's whole
+// lifetime — Acquire before enqueue, Release after the response — so
+// eviction can never drain the app under a queued query or unmap
+// pages a forward pass is reading. That holds for every name the
+// model answers to, including the full versioned ID its app is
+// registered under, so two versions of one model serve side by side.
 func (s *Server) dispatchStored(ctx context.Context, appName string, in []float32) ([]float32, error) {
 	reg := s.ModelRegistry()
 	if reg == nil {
@@ -110,7 +111,7 @@ func (s *Server) ensureStoreApp(id modelstore.ID, m *modelstore.Model) (*app, er
 	if a, ok := s.app(name); ok {
 		return a, nil
 	}
-	if err := s.Register(name, m.Net(), s.storeCfg); err != nil {
+	if err := s.register(name, m.Net(), s.storeCfg, true); err != nil {
 		if a, ok := s.app(name); ok {
 			return a, nil
 		}

@@ -74,13 +74,35 @@ func TestUnregisterDrainsOneApp(t *testing.T) {
 // TestModelStoreLifecycle is the service-tier acceptance test for the
 // store: models fault in on first query (by bare name or versioned
 // ID), serve bit-identical results from mapped pages, and evict under
-// budget pressure without ever failing a query.
+// budget pressure without ever failing a query. It runs the same three
+// rounds from one goroutine and from four at once, each starting at a
+// different model, so faults, evictions and queries for the app being
+// evicted interleave under one budget.
+//
+// Each goroutine pins the model its query runs on, and a load that
+// finds every resident model pinned overshoots the budget by design
+// (modelstore.Config.BudgetBytes). So the budget holds one model file
+// (~1.2 KB) per goroutine, and at least three: then the budget is a
+// bound, not luck, and six models still churn through it every round.
 func TestModelStoreLifecycle(t *testing.T) {
+	for _, tc := range []struct {
+		goroutines int
+		budget     int64
+	}{
+		{1, 4 << 10}, // ≈ 3 model files
+		{4, 5 << 10}, // ≈ 4 model files
+	} {
+		t.Run(fmt.Sprintf("goroutines=%d", tc.goroutines), func(t *testing.T) {
+			testModelStoreLifecycle(t, tc.goroutines, tc.budget)
+		})
+	}
+}
+
+func testModelStoreLifecycle(t *testing.T, goroutines int, budget int64) {
 	testutil.NoLeaks(t)
 	const nModels = 6
 	paths := exportModels(t, nModels)
-	// Budget ≈ 3 model files: plenty of churn across 6 models.
-	reg := modelstore.NewRegistry(modelstore.Config{BudgetBytes: 4 * 1024})
+	reg := modelstore.NewRegistry(modelstore.Config{BudgetBytes: budget})
 	s := NewServer()
 	s.SetLogger(silence)
 	s.AttachModelStore(reg, storeCfg)
@@ -96,27 +118,41 @@ func TestModelStoreLifecycle(t *testing.T) {
 		}
 	}()
 
-	in := make([]float32, 8)
-	tensor.NewRNG(5).FillUniform(in, -1, 1)
-	for round := 0; round < 3; round++ {
-		for i := 0; i < nModels; i++ {
-			name := fmt.Sprintf("m%03d", i)
-			if round == 1 {
-				name += "@v1" // versioned and bare names hit the same app
-			}
-			out, err := s.Infer(name, in)
-			if err != nil {
-				t.Fatalf("round %d %s: %v", round, name, err)
-			}
-			plan := testNet(uint64(i + 1)).Compile(1)
-			copy(plan.In(1).Data(), in)
-			want := plan.Run(1).Data()
-			for j := range want {
-				if out[j] != want[j] {
-					t.Fatalf("%s output %d: %g != %g", name, j, out[j], want[j])
+	var wg sync.WaitGroup
+	for g := 0; g < goroutines; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			in := make([]float32, 8)
+			tensor.NewRNG(uint64(5+g)).FillUniform(in, -1, 1)
+			for round := 0; round < 3; round++ {
+				for k := 0; k < nModels; k++ {
+					i := (k + g) % nModels
+					name := fmt.Sprintf("m%03d", i)
+					if round == 1 {
+						name += "@v1" // versioned and bare names hit the same app
+					}
+					out, err := s.Infer(name, in)
+					if err != nil {
+						t.Errorf("goroutine %d round %d %s: %v", g, round, name, err)
+						return
+					}
+					plan := testNet(uint64(i + 1)).Compile(1)
+					copy(plan.In(1).Data(), in)
+					want := plan.Run(1).Data()
+					for j := range want {
+						if out[j] != want[j] {
+							t.Errorf("goroutine %d %s output %d: %g != %g", g, name, j, out[j], want[j])
+							return
+						}
+					}
 				}
 			}
-		}
+		}(g)
+	}
+	wg.Wait()
+	if t.Failed() {
+		return
 	}
 	st := reg.Stats()
 	if st.Evictions == 0 {
@@ -128,11 +164,14 @@ func TestModelStoreLifecycle(t *testing.T) {
 	if st.Faults < nModels {
 		t.Fatalf("faults %d < %d first-touch loads", st.Faults, nModels)
 	}
+	if st.LoadErrors != 0 {
+		t.Fatalf("%d load errors: %+v", st.LoadErrors, st)
+	}
 	// The server's app table only holds resident models.
 	if apps := s.Apps(); len(apps) > st.Resident {
 		t.Fatalf("%d apps registered for %d resident models: %v", len(apps), st.Resident, apps)
 	}
-	if _, err := s.Infer("ghost", in); err == nil || !strings.Contains(err.Error(), "unknown application") {
+	if _, err := s.Infer("ghost", make([]float32, 8)); err == nil || !strings.Contains(err.Error(), "unknown application") {
 		t.Fatalf("unknown model error = %v", err)
 	}
 }
@@ -178,6 +217,45 @@ func TestModelStoreConcurrentFaultIn(t *testing.T) {
 	st := reg.Stats()
 	if st.Loads != 1 {
 		t.Fatalf("%d loads under concurrent fault-in, want 1", st.Loads)
+	}
+}
+
+// TestModelStoreVersionedNameGoesThroughStore queries a resident model
+// by the versioned ID its app is registered under. That query must
+// still go through the store, pinning the model and bumping its LRU
+// recency, exactly as a bare-name query does: otherwise an eviction
+// can drain the app under it, and the LRU evicts the model it serves.
+func TestModelStoreVersionedNameGoesThroughStore(t *testing.T) {
+	testutil.NoLeaks(t)
+	paths := exportModels(t, 4)
+	// Budget ≈ 3 model files: faulting in the fourth evicts one.
+	reg := modelstore.NewRegistry(modelstore.Config{BudgetBytes: 4 << 10})
+	s := NewServer()
+	s.SetLogger(silence)
+	s.AttachModelStore(reg, storeCfg)
+	for _, p := range paths {
+		if _, err := reg.Register(p); err != nil {
+			t.Fatal(err)
+		}
+	}
+	defer func() {
+		s.Close()
+		if err := reg.Close(); err != nil {
+			t.Error(err)
+		}
+	}()
+	in := make([]float32, 8)
+	for _, name := range []string{"m000", "m001", "m002", "m000@v1", "m003"} {
+		if _, err := s.Infer(name, in); err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+	}
+	resident := map[string]bool{}
+	for _, info := range reg.List() {
+		resident[info.ID.String()] = info.Resident
+	}
+	if !resident["m000@v1"] || resident["m001@v1"] {
+		t.Fatalf("m000 was queried after m001, so m001 is the LRU victim; residency %v", resident)
 	}
 }
 

@@ -156,6 +156,7 @@ type app struct {
 	expired       atomic.Int64
 	timerArms     atomic.Int64  // times the aggregator armed the floor-wait timer
 	plans         chan *nn.Plan // compiled execution-plan pool, one checkout per batch
+	stored        bool          // backed by a model-store mapping (see models.go)
 
 	// gateMu serialises enqueues against shutdown: dispatch holds the
 	// read side across its (non-blocking) send, stop takes the write
@@ -339,6 +340,10 @@ func (s *Server) SetSchedSlots(n int) {
 // shared read-only across the app's workers. It returns an error if the
 // name is taken.
 func (s *Server) Register(name string, netw *nn.Net, cfg AppConfig) error {
+	return s.register(name, netw, cfg, false)
+}
+
+func (s *Server) register(name string, netw *nn.Net, cfg AppConfig, stored bool) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	select {
@@ -364,6 +369,7 @@ func (s *Server) Register(name string, netw *nn.Net, cfg AppConfig) error {
 		tput:      s.tput,
 		gate:      s.gate,
 		closing:   make(chan struct{}),
+		stored:    stored,
 	}
 	if cfg.SLO > 0 {
 		a.ctrl = sched.NewController(sched.Config{
@@ -1077,9 +1083,9 @@ func (s *Server) controlTrace(args []string) (string, error) {
 // query is queued abandons the wait instead of blocking forever.
 func (s *Server) dispatch(ctx context.Context, appName string, in []float32) ([]float32, error) {
 	a, ok := s.app(appName)
-	if !ok {
-		// Not a registered app: fault the model in from the store, if
-		// one is attached (see models.go).
+	if !ok || a.stored {
+		// Not a registered app, or one serving a store model: fault the
+		// model in if need be and pin it for the query (see models.go).
 		return s.dispatchStored(ctx, appName, in)
 	}
 	return s.dispatchApp(ctx, a, in)

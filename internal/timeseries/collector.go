@@ -374,8 +374,8 @@ func (c *Collector) Ticks() int64 {
 }
 
 // SelfTime reports the cumulative wall-clock time spent inside Sample
-// — the collector's own cost, surfaced so the obsfleet experiment can
-// report measured overhead rather than assert it.
+// — the collector's own cost, exported as djinn_collector_self_seconds
+// so its overhead is a measured number rather than an assumption.
 func (c *Collector) SelfTime() time.Duration {
 	return time.Duration(c.selfNanos.Load())
 }

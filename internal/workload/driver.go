@@ -170,19 +170,9 @@ func DriveClosedLoop(b service.Backend, app models.App, name string, workers int
 // and misses are counted in DriveResult.Expired rather than aborting
 // the worker.
 func DriveClosedLoopDeadline(b service.Backend, app models.App, name string, workers int, duration, deadline time.Duration) DriveResult {
-	return DriveClosedLoopPayload(b, name, func(rng *tensor.RNG) []float32 {
+	return DriveClosedLoopOptions(b, name, func(rng *tensor.RNG) []float32 {
 		return QueryPayload(app, rng)
-	}, workers, duration, deadline)
-}
-
-// DriveClosedLoopPayload is the closed-loop core with a caller-supplied
-// payload generator (called once per worker with that worker's RNG),
-// letting experiments drive apps outside the Tonic Suite — e.g. a
-// synthetic model with a forward pass of microseconds.
-func DriveClosedLoopPayload(b service.Backend, name string, payload func(*tensor.RNG) []float32, workers int, duration, deadline time.Duration) DriveResult {
-	return DriveClosedLoopOptions(b, name, payload, DriveOptions{
-		Workers: workers, Duration: duration, Deadline: deadline,
-	})
+	}, DriveOptions{Workers: workers, Duration: duration, Deadline: deadline})
 }
 
 // DriveOptions bundles the optional knobs of a closed-loop drive.
@@ -202,7 +192,9 @@ type DriveOptions struct {
 }
 
 // DriveClosedLoopOptions is the full closed-loop driver: every other
-// closed-loop entry point funnels here.
+// closed-loop entry point funnels here. payload is called once per
+// worker with that worker's RNG, so apps outside the Tonic Suite — a
+// synthetic model, say — can be driven too.
 func DriveClosedLoopOptions(b service.Backend, name string, payload func(*tensor.RNG) []float32, opts DriveOptions) DriveResult {
 	lat := metrics.NewLatencyRecorder()
 	counters := driveCounters{slo: opts.SLO}
