@@ -8,7 +8,7 @@ BENCH_COUNT ?= 5
 BENCH_TIME  ?= 200ms
 BENCH_PKGS  ?= ./internal/tensor/... ./internal/nn/... ./internal/models/...
 
-.PHONY: check vet build test race results bench bench-all benchcmp benchab models gateway
+.PHONY: check vet build cross test race results bench bench-all benchcmp benchab models gateway
 
 # check runs everything CI should gate on: vet, a full build, the full
 # test suite (tier-1), and race-detector runs for the concurrency-heavy
@@ -19,7 +19,7 @@ BENCH_PKGS  ?= ./internal/tensor/... ./internal/nn/... ./internal/models/...
 # hold the batching rule's orderings and plan growth under concurrent
 # checkouts, which a single pass can get right by luck. results then
 # regenerates the paper's evaluation and compares it with RESULTS.txt.
-check: vet build test race results
+check: vet build cross test race results
 
 # vet is static analysis plus a formatting gate: gofmt -l prints the
 # files that need reformatting, so any output fails the target.
@@ -30,6 +30,15 @@ vet:
 
 build:
 	$(GO) build ./...
+
+# cross builds for the platforms the code keeps fallbacks for, so they
+# cannot rot unnoticed: Windows takes the !unix paths (heap parameters
+# in tensor, a read copy instead of a mapping in modelstore) and leaves
+# out bench/, which is Linux-only by design; arm64 builds everything on
+# a second architecture.
+cross:
+	GOOS=windows GOARCH=amd64 $(GO) build . ./internal/... ./cmd/... ./examples/...
+	GOARCH=arm64 $(GO) build ./...
 
 test:
 	$(GO) test ./...

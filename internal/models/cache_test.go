@@ -1,9 +1,28 @@
 package models
 
 import (
+	"runtime"
 	"sync"
 	"testing"
 )
+
+// TestBuildCachedWeightsOffHeap: ASR's 126 MB of weights do not land
+// on the Go heap, so they neither count toward the collector's heap
+// goal nor double the process's footprint through it. BuildCached
+// builds once per process and no earlier test in this package builds
+// ASR, so this measures the build itself.
+func TestBuildCachedWeightsOffHeap(t *testing.T) {
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	n := BuildCached(ASR)
+	runtime.GC()
+	runtime.ReadMemStats(&after)
+	if d := int64(after.HeapAlloc) - int64(before.HeapAlloc); d >= 8<<20 {
+		t.Fatalf("BuildCached(ASR) (%.0f MB of weights) raised HeapAlloc by %.1f MB, want < 8 MB",
+			float64(n.WeightBytes())/1e6, float64(d)/1e6)
+	}
+}
 
 // TestBuildCachedConcurrentFirstCall races many goroutines through the
 // first BuildCached call for the same apps (run under -race via `make

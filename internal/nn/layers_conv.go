@@ -47,7 +47,7 @@ func NewConv(name string, rng *tensor.RNG, inC, outC, kernel int, opt ConvOpt) *
 		PadH: opt.Pad, PadW: opt.Pad,
 		Groups: opt.Groups,
 	}
-	w := tensor.New(outC, inC/opt.Groups, kernel, kernel)
+	w := tensor.NewParam(outC, inC/opt.Groups, kernel, kernel)
 	fanIn := (inC / opt.Groups) * kernel * kernel
 	fanOut := (outC / opt.Groups) * kernel * kernel
 	rng.XavierFill(w.Data(), fanIn, fanOut)

@@ -21,7 +21,7 @@ type FC struct {
 
 // NewFC creates a fully-connected layer with Xavier-initialised weights.
 func NewFC(name string, rng *tensor.RNG, in, out int) *FC {
-	w := tensor.New(out, in)
+	w := tensor.NewParam(out, in)
 	rng.XavierFill(w.Data(), in, out)
 	return &FC{
 		name: name, In: in, Out: out,
@@ -182,7 +182,7 @@ func NewLocal(name string, rng *tensor.RNG, inC, inH, inW, outC, kernel, stride 
 		outH: outH, outW: outW, inH: inH, inW: inW,
 	}
 	taps := inC * kernel * kernel
-	w := tensor.New(outH*outW, outC, taps)
+	w := tensor.NewParam(outH*outW, outC, taps)
 	rng.XavierFill(w.Data(), taps, taps)
 	l.Weight = &Param{Name: name + ".weight", W: w}
 	l.Bias = &Param{Name: name + ".bias", W: tensor.New(outC, outH, outW)}

@@ -26,9 +26,6 @@ const (
 	PowerOfTwo
 )
 
-// Policies lists every routing policy, in definition order.
-var Policies = []Policy{RoundRobin, LeastOutstanding, PowerOfTwo}
-
 // String names the policy.
 func (p Policy) String() string {
 	switch p {

@@ -3,6 +3,7 @@ package service
 import (
 	"context"
 	"errors"
+	"fmt"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -405,6 +406,70 @@ func TestAggregatorSaturatedClosedLoop(t *testing.T) {
 			}
 		}
 		g.layer.release <- struct{}{}
+	}
+}
+
+// TestPlanPoolGrowsOnDemand: Register compiles one plan; a serially
+// queried app reuses it; and k batches held in the forward pass at once
+// leave min(k, Workers) plans, because a worker compiles only when every
+// plan is checked out and the rest of the batches queue for a worker.
+func TestPlanPoolGrowsOnDemand(t *testing.T) {
+	const workers = 4
+	for _, k := range []int{1, 2, workers, workers + 2} {
+		t.Run(fmt.Sprintf("concurrent=%d", k), func(t *testing.T) {
+			g := newGated(t, AppConfig{BatchInstances: 1, BatchWindow: time.Hour, Workers: workers, MaxPending: 8})
+			built := func() int {
+				g.a.plans.mu.Lock()
+				defer g.a.plans.mu.Unlock()
+				return g.a.plans.built
+			}
+			answered := func(req *request) {
+				t.Helper()
+				select {
+				case res := <-req.resp:
+					if res.err != nil {
+						t.Fatal(res.err)
+					}
+				case <-time.After(10 * time.Second):
+					t.Fatal("query never answered")
+				}
+			}
+			if n := built(); n != 1 {
+				t.Fatalf("Register compiled %d plans, want 1", n)
+			}
+			// Serial: each query is answered before the next is sent, as a
+			// closed-loop client would.
+			for i := 0; i < 3; i++ {
+				g.admitted(1)
+				g.batch(1)
+				answered(g.sent[len(g.sent)-1])
+			}
+			if n := built(); n != 1 {
+				t.Fatalf("serial queries built %d plans, want 1", n)
+			}
+			held := min(k, workers)
+			for i := 0; i < held; i++ {
+				g.admitted(1)
+				g.hold(1)
+			}
+			for i := held; i < k; i++ {
+				if err := g.submit(); err != nil {
+					t.Fatal(err)
+				}
+			}
+			for i := 0; i < held; i++ {
+				g.layer.release <- struct{}{}
+			}
+			for i := held; i < k; i++ {
+				g.batch(1)
+			}
+			for _, req := range g.sent[3:] {
+				answered(req)
+			}
+			if n := built(); n != held {
+				t.Fatalf("%d concurrent batches on %d workers built %d plans, want %d", k, workers, n, held)
+			}
+		})
 	}
 }
 

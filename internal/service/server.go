@@ -154,9 +154,9 @@ type app struct {
 	shedAdmission atomic.Int64
 	shedExpired   atomic.Int64
 	expired       atomic.Int64
-	timerArms     atomic.Int64  // times the aggregator armed the floor-wait timer
-	plans         chan *nn.Plan // compiled execution-plan pool, one checkout per batch
-	stored        bool          // backed by a model-store mapping (see models.go)
+	timerArms     atomic.Int64 // times the aggregator armed the floor-wait timer
+	plans         planStack    // compiled execution plans, one checkout per batch
+	stored        bool         // backed by a model-store mapping (see models.go)
 
 	// gateMu serialises enqueues against shutdown: dispatch holds the
 	// read side across its (non-blocking) send, stop takes the write
@@ -397,16 +397,17 @@ func (s *Server) register(name string, netw *nn.Net, cfg AppConfig, stored bool)
 		defer a.wg.Done()
 		a.aggregate(batchCh, a.closing)
 	}()
-	// Compile the app's execution plans once at registration — DjiNN's
-	// load-once model extended to the forward path itself: weights are
-	// shared read-only, and each plan carries the activation views, arenas
-	// and scratch a batch needs, built for the largest batch it has run,
-	// so the steady-state forward path allocates nothing. Workers check a
-	// plan out of the pool per batch and return it when done.
-	a.plans = make(chan *nn.Plan, cfg.Workers)
-	for w := 0; w < cfg.Workers; w++ {
-		a.plans <- netw.CompileOpts(cfg.BatchInstances, nn.CompileOpts{Workers: cfg.IntraOpWorkers, Precision: cfg.Precision})
+	// Weights are shared read-only; each plan carries the activation
+	// views, arenas and scratch a batch needs, built for the largest
+	// batch it has run, so the steady-state forward path allocates
+	// nothing. Register compiles the first plan, so a configuration the
+	// compiler rejects fails here and the first query pays no compile;
+	// workers compile more only when batches run concurrently (see
+	// planStack).
+	a.plans.compile = func() *nn.Plan {
+		return netw.CompileOpts(cfg.BatchInstances, nn.CompileOpts{Workers: cfg.IntraOpWorkers, Precision: cfg.Precision})
 	}
+	a.plans.put(a.plans.get())
 	for w := 0; w < cfg.Workers; w++ {
 		a.wg.Add(1)
 		go func() {
@@ -689,23 +690,58 @@ func (a *app) traceSpans(req *request, spans ...trace.Span) {
 	}
 }
 
-// work executes batches on plans checked out of the app's pool. A batch
-// may exceed a plan's capacity when a single query carries many
-// instances (an ASR query is 548 frames); the worker then chunks the
-// forward passes.
+// planStack is an app's pool of compiled plans, grown on demand and
+// reused most-recent-first. A worker compiles a plan only when every
+// plan is checked out by another worker, so an app never holds more
+// plans than it has had batches in flight at once (at most Workers),
+// and a serially queried app holds one. Handing out the plan returned
+// last reuses the arenas most likely still in cache and leaves the
+// others idle rather than growing each in turn.
+type planStack struct {
+	compile func() *nn.Plan
+
+	mu    sync.Mutex
+	free  []*nn.Plan
+	built int // plans compiled so far
+}
+
+// get checks out the most recently returned plan, compiling a new one
+// when none is free.
+func (p *planStack) get() *nn.Plan {
+	p.mu.Lock()
+	if n := len(p.free); n > 0 {
+		plan := p.free[n-1]
+		p.free = p.free[:n-1]
+		p.mu.Unlock()
+		return plan
+	}
+	p.built++
+	p.mu.Unlock()
+	return p.compile()
+}
+
+// put returns a plan for reuse.
+func (p *planStack) put(plan *nn.Plan) {
+	p.mu.Lock()
+	p.free = append(p.free, plan)
+	p.mu.Unlock()
+}
+
+// work executes the batches the aggregator hands this worker.
 func (a *app) work(batchCh <-chan []*request) {
 	for batch := range batchCh {
-		plan := <-a.plans
-		a.runBatch(plan, batch)
-		a.plans <- plan
+		a.runBatch(batch)
 	}
 }
 
-// runBatch runs one aggregated batch, records per-stage timings, and
-// guarantees every request in the batch receives exactly one response:
-// a panic anywhere in the forward path fails the batch's requests with
-// an error instead of deadlocking their callers.
-func (a *app) runBatch(plan *nn.Plan, batch []*request) {
+// runBatch runs one aggregated batch on a plan checked out of the app's
+// pool, records per-stage timings, and guarantees every request in the
+// batch receives exactly one response: a panic anywhere in the forward
+// path fails the batch's requests with an error instead of deadlocking
+// their callers. A batch may exceed a plan's capacity when a single
+// query carries many instances (an ASR query is 548 frames); the
+// forward passes are then chunked.
+func (a *app) runBatch(batch []*request) {
 	// The hand-off is the worker's receive, so the worker stamps it: the
 	// aggregator cannot write to a batch it has already given away.
 	flushed := time.Now()
@@ -719,8 +755,12 @@ func (a *app) runBatch(plan *nn.Plan, batch []*request) {
 	}
 	accounted := false
 	var booking *request // claimed, response not yet delivered
+	var plan *nn.Plan    // checked out, not yet returned
 	defer func() {
 		if r := recover(); r != nil {
+			if plan != nil {
+				a.plans.put(plan)
+			}
 			err := fmt.Errorf("service: %s worker panic: %v", a.name, r)
 			if booking != nil {
 				booking.deliver(result{err: err})
@@ -742,6 +782,7 @@ func (a *app) runBatch(plan *nn.Plan, batch []*request) {
 	// overtakes queued throughput work.
 	a.gate.Acquire(context.Background(), a.cfg.Priority)
 	defer a.gate.Release()
+	plan = a.plans.get()
 	forwardStart := time.Now()
 	batchID := a.batchSeq.Add(1)
 	maxB := plan.MaxBatch()
@@ -775,6 +816,10 @@ func (a *app) runBatch(plan *nn.Plan, batch []*request) {
 		copy(out[off*a.sampleOut:(off+n)*a.sampleOut], res.Data()[:n*a.sampleOut])
 		a.batches.Add(1)
 	}
+	// Return the plan before any response goes out, so a caller's next
+	// query finds it free rather than making another worker compile one.
+	a.plans.put(plan)
+	plan = nil
 	a.instances.Add(int64(total))
 	forwardDone := time.Now()
 	forward := forwardDone.Sub(forwardStart)
