@@ -430,7 +430,7 @@ func runControlPlane(selected []djinn.App, addr, adminAddr string, replicas, cou
 			log.Fatal(err)
 		}
 		m := controlplane.NewServerMember(name, srv, nets, djinn.AppConfig{
-			BatchWindow: 2 * time.Millisecond, Workers: 4, Precision: prec,
+			Workers: 4, Precision: prec,
 		})
 		// Each app keeps its Table 3 batch shape when the controller
 		// activates it, matching what -replicas mode registers at boot.
@@ -438,7 +438,6 @@ func runControlPlane(selected []djinn.App, addr, adminAddr string, replicas, cou
 			spec := workload.Get(a)
 			m.SetAppConfig(tonic.ServiceName(a), djinn.AppConfig{
 				BatchInstances: spec.BatchSize * spec.Instances,
-				BatchWindow:    2 * time.Millisecond,
 				Workers:        4,
 				Precision:      prec,
 			})

@@ -82,7 +82,7 @@ const (
 )
 
 // SchedInfo is a point-in-time snapshot of one app's scheduler (live
-// batch size, flush window, admission counters); see Server.SchedFor
+// batch cap, admission estimate and counters); see Server.SchedFor
 // and Client.ServerSched.
 type SchedInfo = sched.Info
 

@@ -349,9 +349,9 @@ func writeMetrics(w io.Writer, opts Options) {
 }
 
 // writeSchedMetrics renders per-app scheduler gauges for every replica
-// app registered with an SLO: the adaptive batch size and flush
-// window, the admission rate, and the live queue-delay estimate the
-// admission controller is steering on.
+// app registered with an SLO: the adaptive batch size, the SLO, the
+// admission rate, the queued instances and the live queue-delay
+// estimate the admission controller is steering on.
 func writeSchedMetrics(w io.Writer, opts Options) {
 	type entry struct {
 		replica, app string
@@ -377,8 +377,6 @@ func writeSchedMetrics(w io.Writer, opts Options) {
 	}{
 		{"djinn_sched_batch_size", "Current adaptive batch cap in instances.",
 			func(i sched.Info) float64 { return float64(i.Batch) }},
-		{"djinn_sched_window_seconds", "Current bound on a batch's wait for its MinBatchInstances floor.",
-			func(i sched.Info) float64 { return i.Window.Seconds() }},
 		{"djinn_sched_slo_seconds", "Declared p99 latency SLO.",
 			func(i sched.Info) float64 { return i.SLO.Seconds() }},
 		{"djinn_sched_admission_rate", "Fraction of admission decisions that admitted (lifetime).",

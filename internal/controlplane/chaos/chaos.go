@@ -274,8 +274,7 @@ func NewFleet(opts Options) *Fleet {
 			panic(err) // duplicate IDs cannot happen: generated above
 		}
 		cfg := service.AppConfig{
-			BatchInstances: 8, BatchWindow: 2 * time.Millisecond,
-			Workers: 2, MaxPending: 256, SLO: slo,
+			BatchInstances: 8, Workers: 2, MaxPending: 256, SLO: slo,
 		}
 		f.ctl.Join(controlplane.NewServerMember(id, srv, nets, cfg))
 	}

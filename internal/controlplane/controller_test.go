@@ -26,7 +26,7 @@ func tinyNet(seed uint64) *nn.Net {
 }
 
 func testAppCfg() service.AppConfig {
-	return service.AppConfig{BatchInstances: 4, BatchWindow: time.Millisecond, Workers: 1, MaxPending: 64}
+	return service.AppConfig{BatchInstances: 4, Workers: 1, MaxPending: 64}
 }
 
 // testFleet builds n in-process replicas registered with both the

@@ -64,9 +64,8 @@ type SchedCell struct {
 	// window; its ShedAdmission/ShedExpired split shows *where* a
 	// config loses queries under overload. Router retries mean one
 	// client-visible shed can appear as rejects on several replicas.
-	Stats  service.Stats
-	Batch  int           // adaptive: live batch cap after the run (0 static)
-	Window time.Duration // adaptive: live floor-wait window after the run
+	Stats service.Stats
+	Batch int // adaptive: live batch cap after the run (0 static)
 	// Sustainable: the config held the p99 SLO while serving ≥99% of
 	// offered queries. Deadline expiry censors the p99 of what *was*
 	// served, so the goodput bound is what makes the check honest.
@@ -182,7 +181,7 @@ func SchedSweep(cfgs []SchedConfig, opts SchedSweepOptions) []SchedCell {
 			cell.Stats = statsDelta(fleetStats(servers, "bench"), base)
 			if cfg.App.SLO > 0 {
 				if info, ok := servers[0].SchedFor("bench"); ok {
-					cell.Batch, cell.Window = info.Batch, info.Window
+					cell.Batch = info.Batch
 				}
 			}
 			rt.Close()

@@ -17,7 +17,7 @@ func TestSchedSweepSmoke(t *testing.T) {
 	}
 	const slo = 250 * time.Millisecond
 	cfgs := []SchedConfig{
-		{"static-1", service.AppConfig{BatchInstances: 1, BatchWindow: time.Millisecond, Workers: 1}},
+		{"static-1", service.AppConfig{BatchInstances: 1, Workers: 1}},
 		{"adaptive", service.AppConfig{BatchInstances: 16, Workers: 1, SLO: slo}},
 	}
 	rates := []float64{60, 120}
@@ -53,9 +53,6 @@ func TestSchedSweepSmoke(t *testing.T) {
 			if c.Batch < 1 || c.Batch > 16 {
 				t.Errorf("adaptive@%.0f: live batch %d outside [1,16]", c.Rate, c.Batch)
 			}
-			if c.Window <= 0 {
-				t.Errorf("adaptive@%.0f: live window %v", c.Rate, c.Window)
-			}
 		case "static-1":
 			if c.Batch != 0 {
 				t.Errorf("static-1@%.0f: reported live batch %d, want 0", c.Rate, c.Batch)
@@ -81,7 +78,7 @@ func TestSchedSweepCutsLadderAfterCliff(t *testing.T) {
 		t.Skip("drives live load for ~2s")
 	}
 	cfgs := []SchedConfig{
-		{"static-1", service.AppConfig{BatchInstances: 1, BatchWindow: time.Millisecond, Workers: 1}},
+		{"static-1", service.AppConfig{BatchInstances: 1, Workers: 1}},
 	}
 	cells := SchedSweep(cfgs, SchedSweepOptions{
 		Replicas:    1,

@@ -6,6 +6,7 @@ import (
 	"testing/quick"
 
 	"djinn/internal/nn"
+	"djinn/internal/sim"
 )
 
 func TestK40Spec(t *testing.T) {
@@ -163,6 +164,48 @@ func TestMPSSharesFullOccupancyKernels(t *testing.T) {
 	gain := four.QPS / one.QPS
 	if gain < 0.95 || gain > 1.15 {
 		t.Fatalf("full-occupancy MPS gain %v, want ≈1", gain)
+	}
+}
+
+// TestMPSCompletionTimesDeterministic: the MPS scheduler's sums over its
+// active kernels run in one order, so one fixed set of overlapping
+// kernels finishes at bit-identical times on every run. The
+// occupancies sum past 1 (the shared-rate regime, where the sum's
+// rounding reaches the completion times), and each kernel's callback
+// submits a follow-on, so the order finished kernels fire in is part
+// of what must repeat.
+func TestMPSCompletionTimesDeterministic(t *testing.T) {
+	occs := []float64{0.1, 0.2, 0.3, 0.7, 0.45, 0.15}
+	const rounds = 3
+	run := func() []float64 {
+		eng := sim.New()
+		s := newMPSSched(eng, K40())
+		done := make([]float64, len(occs)*rounds)
+		for i, occ := range occs {
+			w := KernelWork{SoloTime: 1e-3 * (1 + float64(i)/7), Occ: occ}
+			var submit func(round int)
+			submit = func(round int) {
+				s.Submit(i, w, func() {
+					done[i*rounds+round] = eng.Now()
+					if round+1 < rounds {
+						submit(round + 1)
+					}
+				})
+			}
+			eng.At(float64(i%3)*1e-4, func() { submit(0) })
+		}
+		eng.Run()
+		return done
+	}
+	want := run()
+	for rep := 1; rep < 50; rep++ {
+		got := run()
+		for k := range want {
+			if math.Float64bits(got[k]) != math.Float64bits(want[k]) {
+				t.Fatalf("run %d: kernel %d round %d finished at %.17g, first run at %.17g",
+					rep, k/rounds, k%rounds, got[k], want[k])
+			}
+		}
 	}
 }
 

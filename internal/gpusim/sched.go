@@ -76,10 +76,15 @@ func (s *exclusiveSched) BusySeconds() float64 { return s.busy }
 // slows down proportionally. This reproduces both the ~6× throughput
 // gain for underoccupied services (Figure 8) and the ~3× latency
 // reduction versus time-sharing (Figure 9).
+//
+// The active kernels are kept in submission order, so the rate and
+// progress sums, and the order finished kernels' callbacks fire in, are
+// the same on every run: a simulation's output is a function of its
+// inputs alone.
 type mpsSched struct {
 	eng        *sim.Engine
 	spec       DeviceSpec
-	active     map[*psJob]struct{}
+	active     []*psJob
 	rate       float64
 	lastUpdate float64
 	completion *sim.Event
@@ -93,7 +98,7 @@ type psJob struct {
 }
 
 func newMPSSched(eng *sim.Engine, spec DeviceSpec) *mpsSched {
-	return &mpsSched{eng: eng, spec: spec, active: map[*psJob]struct{}{}, rate: 1}
+	return &mpsSched{eng: eng, spec: spec, rate: 1}
 }
 
 func (s *mpsSched) Submit(proc int, w KernelWork, done func()) {
@@ -103,7 +108,7 @@ func (s *mpsSched) Submit(proc int, w KernelWork, done func()) {
 		occ = 1e-6
 	}
 	job := &psJob{remaining: w.SoloTime, occ: occ, done: done}
-	s.active[job] = struct{}{}
+	s.active = append(s.active, job)
 	s.reschedule()
 }
 
@@ -113,7 +118,7 @@ func (s *mpsSched) advance() {
 	if dt > 0 && len(s.active) > 0 {
 		s.busy += dt
 		progress := dt * s.rate
-		for j := range s.active {
+		for _, j := range s.active {
 			j.remaining -= progress
 		}
 	}
@@ -132,7 +137,7 @@ func (s *mpsSched) reschedule() {
 	}
 	var sumOcc float64
 	minRem := math.Inf(1)
-	for j := range s.active {
+	for _, j := range s.active {
 		sumOcc += j.occ
 		if j.remaining < minRem {
 			minRem = j.remaining
@@ -152,14 +157,16 @@ func (s *mpsSched) complete() {
 	s.advance()
 	const eps = 1e-12
 	var finished []*psJob
-	for j := range s.active {
+	running := s.active[:0]
+	for _, j := range s.active {
 		if j.remaining <= eps {
 			finished = append(finished, j)
+		} else {
+			running = append(running, j)
 		}
 	}
-	for _, j := range finished {
-		delete(s.active, j)
-	}
+	clear(s.active[len(running):])
+	s.active = running
 	// Callbacks may submit follow-on kernels; reschedule first so state
 	// is consistent, then fire.
 	s.completion = nil

@@ -1,6 +1,6 @@
 // Package modelstore gives DjiNN models a life outside the process:
 // a versioned on-disk weight format, a strict validating reader, a
-// zero-copy mmap loader, and a Registry that loads, warms, and evicts
+// zero-copy mmap loader, and a Registry that loads and evicts
 // model versions at runtime under a memory budget. It is the piece
 // that turns the fixed seven-app demo into a multi-tenant serving
 // platform: models become files, files become mapped pages, and the

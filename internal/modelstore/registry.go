@@ -5,8 +5,6 @@ import (
 	"fmt"
 	"sort"
 	"sync"
-
-	"djinn/internal/tensor"
 )
 
 // Registry errors surfaced to control-plane callers.
@@ -31,10 +29,6 @@ type Config struct {
 	// queries: the paper's service sheds load at admission, not by
 	// refusing to page in the model a query already admitted against.
 	BudgetBytes int64
-	// Warm, when set, runs one compiled single-instance forward after
-	// each load, so the first real query does not pay plan compilation
-	// or first-touch page faults.
-	Warm bool
 	// Logf receives lifecycle events; nil discards them.
 	Logf func(format string, args ...any)
 }
@@ -206,7 +200,7 @@ func (r *Registry) Release(id ID) {
 }
 
 // Load makes the model resident without holding a pin: the explicit
-// pre-warm path behind the `model load` control verb.
+// pre-load path behind the `model load` control verb.
 func (r *Registry) Load(id ID) error {
 	r.mu.Lock()
 	e, ok := r.entries[id]
@@ -234,9 +228,9 @@ func (r *Registry) touchLocked(e *entry) {
 }
 
 // loadSlow is the cold path: serialise behind lifecycle, re-check,
-// make room under the budget, map the file, optionally warm it, and
-// publish. Returns with one pin held. demand marks loads triggered by
-// a query (a "model fault") as opposed to explicit pre-loads.
+// make room under the budget, map the file, and publish. Returns with
+// one pin held. demand marks loads triggered by a query (a "model
+// fault") as opposed to explicit pre-loads.
 func (r *Registry) loadSlow(e *entry, demand bool) (*Model, error) {
 	r.lifecycle.Lock()
 	defer r.lifecycle.Unlock()
@@ -268,9 +262,6 @@ func (r *Registry) loadSlow(e *entry, demand bool) (*Model, error) {
 		r.loadErrors++
 		r.mu.Unlock()
 		return nil, fmt.Errorf("modelstore: %s now contains %s (file replaced?)", e.path, got)
-	}
-	if r.cfg.Warm {
-		warm(m)
 	}
 	r.mu.Lock()
 	e.model = m
@@ -441,15 +432,4 @@ func (r *Registry) Close() error {
 		m.Close()
 	}
 	return nil
-}
-
-// warm runs one single-instance forward through a compiled plan so
-// plan compilation and the first weight-page faults happen at load
-// time, not on the first query.
-func warm(m *Model) {
-	plan := m.net.Compile(1)
-	in := plan.In(1)
-	// A recognisable, cheap input; the output is discarded.
-	tensor.NewRNG(1).FillUniform(in.Data(), 0, 1)
-	plan.Run(1)
 }

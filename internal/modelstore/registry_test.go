@@ -168,7 +168,7 @@ func TestRegistryResolve(t *testing.T) {
 
 func TestRegistryConcurrentAcquireSingleLoad(t *testing.T) {
 	testutil.NoLeaks(t)
-	reg := NewRegistry(Config{Warm: true})
+	reg := NewRegistry(Config{})
 	defer reg.Close()
 	ids := writeFleet(t, reg, 1)
 	const goroutines = 16

@@ -105,7 +105,7 @@ func TestRouterAnswersMatchSingleServer(t *testing.T) {
 	rt := New(Config{Policy: RoundRobin})
 	defer rt.Close()
 	for i := 0; i < 3; i++ {
-		_, addr := startReplica(t, service.AppConfig{BatchInstances: 4, BatchWindow: time.Millisecond})
+		_, addr := startReplica(t, service.AppConfig{BatchInstances: 4})
 		if err := rt.AddAddr(fmt.Sprintf("r%d", i), addr, nil); err != nil {
 			t.Fatal(err)
 		}
@@ -549,7 +549,7 @@ func TestRouterKillReplicaMidRunZeroLostQueries(t *testing.T) {
 	var victim *service.Server
 	for i := 0; i < 3; i++ {
 		s, addr := startReplica(t, service.AppConfig{
-			BatchInstances: 4, BatchWindow: time.Millisecond, Workers: 2,
+			BatchInstances: 4, Workers: 2,
 		})
 		if i == 0 {
 			victim = s

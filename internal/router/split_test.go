@@ -182,7 +182,7 @@ func TestCanaryRollbackZeroLostQueries(t *testing.T) {
 	reg := modelstore.NewRegistry(modelstore.Config{})
 	s := service.NewServer()
 	s.SetLogger(silence)
-	s.AttachModelStore(reg, service.AppConfig{BatchInstances: 4, BatchWindow: 200 * time.Microsecond, Workers: 1})
+	s.AttachModelStore(reg, service.AppConfig{BatchInstances: 4, Workers: 1})
 	for _, p := range []string{v1, v2} {
 		if _, err := reg.Register(p); err != nil {
 			t.Fatal(err)

@@ -23,7 +23,7 @@ import (
 // error.
 func TestRouterStressClientsCloseMarkdown(t *testing.T) {
 	testutil.NoLeaks(t)
-	cfg := service.AppConfig{BatchInstances: 8, BatchWindow: time.Millisecond, Workers: 1}
+	cfg := service.AppConfig{BatchInstances: 8, Workers: 1}
 	victim, victimAddr := startReplica(t, cfg)
 	_, addrB := startReplica(t, cfg)
 	_, addrC := startReplica(t, cfg)

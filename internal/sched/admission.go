@@ -32,9 +32,6 @@ type Config struct {
 	// EvalEvery is how many completions pass between AIMD steps.
 	// Zero means 64.
 	EvalEvery int
-	// AIMD overrides the batch controller's tuning; SLO, Min and Max
-	// are filled in from this Config when unset.
-	AIMD AIMDConfig
 }
 
 func (c Config) withDefaults() Config {
@@ -49,15 +46,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.EvalEvery <= 0 {
 		c.EvalEvery = 64
-	}
-	if c.AIMD.SLO == 0 {
-		c.AIMD.SLO = c.SLO
-	}
-	if c.AIMD.Min <= 0 {
-		c.AIMD.Min = 1
-	}
-	if c.AIMD.Max == 0 {
-		c.AIMD.Max = c.MaxBatch
 	}
 	return c
 }
@@ -74,15 +62,13 @@ const ewmaAlpha = 0.125
 
 // Controller runs one application's scheduling feedback loop. The
 // serving path calls Admit before enqueue, Dropped for admitted
-// queries that die before execution, Started when a worker takes a
-// batch, ObserveBatch and Executed after its forward pass, and Complete
-// per answered query; BatchSize and Window replace the app's static
-// aggregation parameters.
+// queries that die before execution, ObserveBatch and Executed after a
+// batch's forward pass, and Complete per answered query; BatchSize
+// replaces the app's static batch cap.
 type Controller struct {
 	cfg Config
 
 	queued   atomic.Int64 // instances admitted but not yet executed
-	running  atomic.Int64 // of those, instances in batches a worker holds
 	admitted atomic.Int64 // queries past admission
 	rejected atomic.Int64 // queries refused at admission
 	pressure atomic.Int64 // rejections since the last AIMD step
@@ -102,7 +88,7 @@ func NewController(cfg Config) *Controller {
 		panic("sched: NewController requires a positive SLO")
 	}
 	cfg = cfg.withDefaults()
-	return &Controller{cfg: cfg, aimd: NewAIMD(cfg.AIMD)}
+	return &Controller{cfg: cfg, aimd: NewAIMD(AIMDConfig{Max: cfg.MaxBatch, SLO: cfg.SLO})}
 }
 
 // SLO returns the declared target p99.
@@ -121,38 +107,14 @@ func (c *Controller) BatchSize() int {
 	return c.aimd.Batch()
 }
 
-// Window returns the current bound on a batch's wait for the AIMD
-// floor (Config.AIMD.Min instances).
-func (c *Controller) Window() time.Duration {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.aimd.Window()
-}
-
 // estimate computes the delay a query of n instances would see if
 // admitted now: everything already admitted plus itself must drain
 // through the worker pool at the observed per-instance service time.
-//
-// The window is a delay only for a query that would wait on it, and
-// batching is work-conserving: a worker takes the pending batch as soon
-// as it is free unless the batch is still below the floor. So the
-// window is charged only when the pending batch, this query included,
-// is below the floor — then the query may wait the window out, and
-// since workers chew the backlog while it does, the estimate is the
-// slower of the two, not their sum (summing parks the estimate at the
-// admission threshold at perfectly healthy utilization). With the floor
-// met there is no timer in the query's way: on an idle replica it is
-// served in one forward pass, on a busy one it waits for a worker,
-// which is the backlog term. perInstNS and window are passed in by the
-// caller holding the lock (Admit) or reading a snapshot (Snapshot).
-func (c *Controller) estimate(perInstNS float64, window time.Duration, n int) time.Duration {
-	queued := c.queued.Load()
-	work := time.Duration((float64(queued) + float64(n)) * perInstNS / float64(c.cfg.Workers))
-	pending := queued - c.running.Load()
-	if pending+int64(n) >= int64(c.cfg.AIMD.Min) || work > window {
-		return work
-	}
-	return window
+// Batching is work-conserving, so no timer adds to it: on an idle
+// replica the query is served in one forward pass, on a busy one it
+// waits for a worker, which is this backlog term.
+func (c *Controller) estimate(perInstNS float64, n int) time.Duration {
+	return time.Duration((float64(c.queued.Load()) + float64(n)) * perInstNS / float64(c.cfg.Workers))
 }
 
 // Admit decides whether a query of n instances can still meet budget
@@ -163,9 +125,9 @@ func (c *Controller) estimate(perInstNS float64, window time.Duration, n int) ti
 // admits everything.
 func (c *Controller) Admit(budget time.Duration, n int) (time.Duration, bool) {
 	c.mu.Lock()
-	perInst, window := c.perInstNS, c.aimd.Window()
+	perInst := c.perInstNS
 	c.mu.Unlock()
-	est := c.estimate(perInst, window, n)
+	est := c.estimate(perInst, n)
 	if perInst > 0 && float64(est) > c.cfg.Safety*float64(budget) {
 		c.rejected.Add(1)
 		c.pressure.Add(1)
@@ -176,22 +138,14 @@ func (c *Controller) Admit(budget time.Duration, n int) (time.Duration, bool) {
 	return est, true
 }
 
-// Started records that a worker took a batch of n instances: until the
-// matching Executed they still count as queued work, but no longer
-// toward the pending batch's floor.
-func (c *Controller) Started(n int) { c.running.Add(int64(n)) }
-
-// Executed balances Admit and Started for a batch whose forward pass
-// ended (finished or failed). Settling at completion (not pickup)
+// Executed balances Admit for a batch whose forward pass ended
+// (finished or failed). Settling at completion (not pickup)
 // deliberately leaves the in-flight batch in the queued account: its
 // residual service time is real wait for everything admitted behind
 // it, and counting it fully errs on the conservative side — an
 // estimate that ignored it would admit queries whose true delay lands
 // past the SLO by up to one batch service.
-func (c *Controller) Executed(n int) {
-	c.queued.Add(int64(-n))
-	c.running.Add(int64(-n))
-}
+func (c *Controller) Executed(n int) { c.queued.Add(int64(-n)) }
 
 // Dropped balances Admit for instances that died before execution
 // (expired at assembly, or failed by the shutdown drain).
@@ -253,7 +207,6 @@ type Info struct {
 	SLO      time.Duration
 	Priority Priority
 	Batch    int           // current batch cap (instances)
-	Window   time.Duration // current bound on the wait for the batch floor
 	Admitted int64         // queries past admission since start
 	Rejected int64         // queries refused at admission since start
 	Queued   int64         // instances admitted but not yet executed
@@ -275,18 +228,17 @@ func (i Info) AdmissionRate() float64 {
 func (c *Controller) Snapshot() Info {
 	c.mu.Lock()
 	perInst := c.perInstNS
-	batch, window := c.aimd.Batch(), c.aimd.Window()
+	batch := c.aimd.Batch()
 	p99 := c.recentP99Locked()
 	c.mu.Unlock()
 	return Info{
 		SLO:      c.cfg.SLO,
 		Priority: c.cfg.Priority,
 		Batch:    batch,
-		Window:   window,
 		Admitted: c.admitted.Load(),
 		Rejected: c.rejected.Load(),
 		Queued:   c.queued.Load(),
-		EstWait:  c.estimate(perInst, window, 1),
+		EstWait:  c.estimate(perInst, 1),
 		P99:      p99,
 	}
 }
@@ -295,15 +247,16 @@ func (c *Controller) Snapshot() Info {
 // key=value fields, one line. ParseInfo inverts it.
 func (i Info) String() string {
 	return fmt.Sprintf(
-		"slo=%s priority=%s batch=%d window=%s admitted=%d rejected=%d queued=%d est_wait=%s p99=%s admission_rate=%.3f",
-		i.SLO, i.Priority, i.Batch, i.Window,
+		"slo=%s priority=%s batch=%d admitted=%d rejected=%d queued=%d est_wait=%s p99=%s admission_rate=%.3f",
+		i.SLO, i.Priority, i.Batch,
 		i.Admitted, i.Rejected, i.Queued, i.EstWait, i.P99, i.AdmissionRate())
 }
 
 // ParseInfo parses a "sched" control verb reply back into an Info.
-// Unknown keys are ignored (a newer server may add fields); malformed
-// values for known keys are errors. The derived admission_rate field
-// is ignored — it is recomputed from the counters.
+// Unknown keys are ignored (a newer server may add fields, an older one
+// sends the retired window= field); malformed values for known keys are
+// errors. The derived admission_rate field is ignored — it is
+// recomputed from the counters.
 func ParseInfo(s string) (Info, error) {
 	var info Info
 	for _, field := range strings.Fields(s) {
@@ -319,8 +272,6 @@ func ParseInfo(s string) (Info, error) {
 			info.Priority, err = ParsePriority(v)
 		case "batch":
 			info.Batch, err = strconv.Atoi(v)
-		case "window":
-			info.Window, err = time.ParseDuration(v)
 		case "admitted":
 			info.Admitted, err = strconv.ParseInt(v, 10, 64)
 		case "rejected":
@@ -336,7 +287,7 @@ func ParseInfo(s string) (Info, error) {
 			return Info{}, fmt.Errorf("sched: bad %s value %q: %v", k, v, err)
 		}
 	}
-	if info.SLO < 0 || info.Batch < 0 || info.Window < 0 || info.EstWait < 0 || info.P99 < 0 {
+	if info.SLO < 0 || info.Batch < 0 || info.EstWait < 0 || info.P99 < 0 {
 		return Info{}, fmt.Errorf("sched: negative field in %q", s)
 	}
 	return info, nil

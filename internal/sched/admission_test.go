@@ -38,7 +38,7 @@ func TestAdmissionRejectsOverBudget(t *testing.T) {
 	// 1ms per instance.
 	c.ObserveBatch(8*time.Millisecond, 8)
 
-	// Plenty of budget, empty queue: est ≈ window + 1ms → admitted.
+	// Plenty of budget, empty queue: est = 1ms → admitted.
 	est, ok := c.Admit(10*time.Millisecond, 1)
 	if !ok {
 		t.Fatalf("rejected with empty queue (est %v)", est)
@@ -78,77 +78,48 @@ func TestAdmissionRejectsOverBudget(t *testing.T) {
 	}
 }
 
-// TestAdmissionChargesWindowOnlyBelowFloor: the floor-wait window is
-// part of the delay estimate only for a query whose batch would still
-// be below the floor, the one case in which the aggregator holds a
-// batch back for the timer. With the floor met a query whose budget is
-// under the window is served in one forward pass — or waits for a
-// worker, which is the backlog term — and must be admitted; the
-// controller used to refuse it.
-func TestAdmissionChargesWindowOnlyBelowFloor(t *testing.T) {
+// TestAdmissionEstimatesBacklog: the delay estimate is the backlog
+// term alone — everything admitted and not yet executed, this query
+// included, divided across the workers at the observed per-instance
+// time. Batching is work-conserving, so no timer adds to it: on an idle
+// replica a query is served in one forward pass, on a busy one it waits
+// for a worker.
+func TestAdmissionEstimatesBacklog(t *testing.T) {
 	const (
 		slo     = 100 * time.Millisecond
-		window  = slo / 2 // pinned batch (Min == Max): AIMD's MaxWindow
 		perInst = 100 * time.Microsecond
-		budget  = 10 * time.Millisecond // well under the window, well over the work
+		budget  = 10 * time.Millisecond // well over the work
 	)
 	cases := []struct {
 		name    string
-		floor   int // AIMD.Min, and MaxBatch: the batch is pinned
 		workers int
-		started []int // batches workers hold, in instances
-		pending int   // instances admitted and still waiting
+		running []int // batches workers hold, in instances
 		n       int   // the query's instances
 		wantEst time.Duration
-		admit   bool
 	}{
-		{name: "no floor, idle replica", floor: 1, workers: 2, n: 1,
-			wantEst: perInst / 2, admit: true},
-		{name: "no floor, every worker busy", floor: 1, workers: 2, started: []int{4, 4}, n: 1,
-			wantEst: 9 * perInst / 2, admit: true},
-		{name: "query alone meets the floor", floor: 4, workers: 1, n: 4,
-			wantEst: 4 * perInst, admit: true},
-		{name: "query completes the floor", floor: 4, workers: 1, pending: 3, n: 1,
-			wantEst: 4 * perInst, admit: true},
-		{name: "batch still below the floor", floor: 4, workers: 1, pending: 1, n: 1,
-			wantEst: window, admit: false},
-		{name: "running instances do not count toward the floor", floor: 4, workers: 2, started: []int{4}, n: 1,
-			wantEst: window, admit: false},
-		{name: "below the floor, backlog above the window", floor: 4, workers: 1, started: []int{1000}, n: 1,
-			wantEst: 1001 * perInst, admit: false},
+		{name: "idle replica", workers: 2, n: 1, wantEst: perInst / 2},
+		{name: "every worker busy", workers: 2, running: []int{4, 4}, n: 1, wantEst: 9 * perInst / 2},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			c := NewController(Config{SLO: slo, Workers: tc.workers, MaxBatch: tc.floor,
-				AIMD: AIMDConfig{Min: tc.floor}})
-			if got := c.Window(); got != window {
-				t.Fatalf("window = %v, want %v", got, window)
-			}
+			c := NewController(Config{SLO: slo, Workers: tc.workers})
 			// Cold admissions build the state, then one observation
 			// warms the service-time estimate.
-			for _, b := range tc.started {
+			for _, b := range tc.running {
 				c.Admit(slo, b)
-				c.Started(b)
-			}
-			if tc.pending > 0 {
-				c.Admit(slo, tc.pending)
 			}
 			c.ObserveBatch(perInst, 1)
 			est, ok := c.Admit(budget, tc.n)
-			if est != tc.wantEst || ok != tc.admit {
-				t.Fatalf("Admit = (%v, %v), want (%v, %v)", est, ok, tc.wantEst, tc.admit)
+			if est != tc.wantEst || !ok {
+				t.Fatalf("Admit = (%v, %v), want (%v, true)", est, ok, tc.wantEst)
 			}
-			// Executed settles both accounts: what is left queued is what
-			// never reached a worker.
-			for _, b := range tc.started {
+			// Executed settles the account: what is left queued is the
+			// query itself.
+			for _, b := range tc.running {
 				c.Executed(b)
 			}
-			want := int64(tc.pending)
-			if tc.admit {
-				want += int64(tc.n)
-			}
-			if got := c.Snapshot().Queued; got != want {
-				t.Fatalf("queued = %d after the running batches finished, want %d", got, want)
+			if got := c.Snapshot().Queued; got != int64(tc.n) {
+				t.Fatalf("queued = %d after the running batches finished, want %d", got, tc.n)
 			}
 		})
 	}
@@ -197,9 +168,6 @@ func TestCompleteStepsAIMD(t *testing.T) {
 	if got := c.BatchSize(); got >= grown {
 		t.Fatalf("batch = %d after overload eval, want < %d", got, grown)
 	}
-	if w := c.Window(); w <= 0 {
-		t.Fatalf("window = %v, want > 0", w)
-	}
 }
 
 // TestInfoRoundTrip: the control verb's reply parses back into the
@@ -209,7 +177,6 @@ func TestInfoRoundTrip(t *testing.T) {
 		SLO:      60 * time.Millisecond,
 		Priority: LatencyCritical,
 		Batch:    17,
-		Window:   750 * time.Microsecond,
 		Admitted: 12345,
 		Rejected: 678,
 		Queued:   42,
@@ -233,7 +200,7 @@ func TestParseInfoRejectsGarbage(t *testing.T) {
 		"slo=12parsecs",      // bad duration
 		"priority=platinum",  // unknown class
 		"batch=-4",           // negative
-		"window=-1ms",        // negative duration
+		"est_wait=-1ms",      // negative duration
 		"admitted=1 batch=x", // second field bad
 	}
 	for _, s := range bad {
@@ -241,10 +208,17 @@ func TestParseInfoRejectsGarbage(t *testing.T) {
 			t.Errorf("ParseInfo(%q) accepted garbage", s)
 		}
 	}
-	// Unknown keys are forward-compatible, not errors.
+	// Unknown keys are forward-compatible, not errors: a newer
+	// server's extra field, and the window= field an older server sent.
 	info, err := ParseInfo("batch=3 some_future_field=7")
 	if err != nil || info.Batch != 3 {
 		t.Fatalf("unknown key handling: info=%+v err=%v", info, err)
+	}
+	old := "slo=50ms priority=latency batch=12 window=1.1ms admitted=48231 rejected=1205 queued=36 est_wait=9.2ms admission_rate=0.976"
+	want := Info{SLO: 50 * time.Millisecond, Priority: LatencyCritical, Batch: 12,
+		Admitted: 48231, Rejected: 1205, Queued: 36, EstWait: 9200 * time.Microsecond}
+	if info, err := ParseInfo(old); err != nil || info != want {
+		t.Fatalf("older server's reply: info=%+v err=%v, want %+v", info, err, want)
 	}
 }
 
@@ -254,7 +228,7 @@ func FuzzParseInfo(f *testing.F) {
 	f.Add(Info{}.String())
 	f.Add(Info{
 		SLO: 60 * time.Millisecond, Priority: Standard, Batch: 8,
-		Window: time.Millisecond, Admitted: 100, Rejected: 7, Queued: 3,
+		Admitted: 100, Rejected: 7, Queued: 3,
 		EstWait: 2 * time.Millisecond,
 	}.String())
 	f.Add("sched tiny")

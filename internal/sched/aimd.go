@@ -4,9 +4,9 @@ import "time"
 
 // AIMDConfig tunes the adaptive batch controller.
 type AIMDConfig struct {
-	// Min and Max bound the batch size in instances. Max is typically
-	// the runner's MaxBatch; Min defaults to 1.
-	Min, Max int
+	// Max bounds the batch size in instances (the floor is 1). It is
+	// typically the runner's MaxBatch.
+	Max int
 	// SLO is the target p99 latency the controller holds.
 	SLO time.Duration
 	// Headroom is the dead band's lower edge as a fraction of the SLO:
@@ -22,24 +22,11 @@ type AIMDConfig struct {
 	// the post-overload ceiling earn one probe step past it. Zero
 	// means 8.
 	ProbeAfter int
-	// MinWindow and MaxWindow bound the floor-wait window derived from
-	// the batch size: how long a batch below Min instances may wait for
-	// the floor before a free worker takes it anyway. Zero means 100µs
-	// and SLO/2: when Min is raised because a batch below it forfeits
-	// launch amortisation, a window too small to gather Min instances
-	// at the offered load forfeits it just the same, so the ceiling
-	// must leave room to gather — the p99 feedback shrinks the batch,
-	// and with it the window, whenever that wait actually endangers the
-	// SLO.
-	MinWindow, MaxWindow time.Duration
 }
 
 func (c AIMDConfig) withDefaults() AIMDConfig {
-	if c.Min <= 0 {
-		c.Min = 1
-	}
-	if c.Max < c.Min {
-		c.Max = c.Min
+	if c.Max < 1 {
+		c.Max = 1
 	}
 	if c.Headroom <= 0 || c.Headroom >= 1 {
 		c.Headroom = 0.8
@@ -49,15 +36,6 @@ func (c AIMDConfig) withDefaults() AIMDConfig {
 	}
 	if c.ProbeAfter <= 0 {
 		c.ProbeAfter = 8
-	}
-	if c.MinWindow <= 0 {
-		c.MinWindow = 100 * time.Microsecond
-	}
-	if c.MaxWindow <= 0 {
-		c.MaxWindow = c.SLO / 2
-		if c.MaxWindow < c.MinWindow {
-			c.MaxWindow = c.MinWindow
-		}
 	}
 	return c
 }
@@ -81,27 +59,14 @@ type AIMD struct {
 	healthyRun int // consecutive under-headroom observations
 }
 
-// NewAIMD creates a controller starting at the minimum batch size
+// NewAIMD creates a controller starting at a batch cap of 1
 // (conservative: it ramps up while the SLO has headroom).
 func NewAIMD(cfg AIMDConfig) *AIMD {
-	cfg = cfg.withDefaults()
-	return &AIMD{cfg: cfg, size: cfg.Min}
+	return &AIMD{cfg: cfg.withDefaults(), size: 1}
 }
 
 // Batch returns the current batch cap in instances.
 func (a *AIMD) Batch() int { return a.size }
-
-// Window returns the floor-wait bound matching the current batch cap:
-// linear between MinWindow and MaxWindow as the cap grows from Min to
-// Max. A small cap gives up on the floor almost immediately (latency
-// recovery); a large one may wait longer for it (throughput).
-func (a *AIMD) Window() time.Duration {
-	if a.cfg.Max == a.cfg.Min {
-		return a.cfg.MaxWindow
-	}
-	frac := float64(a.size-a.cfg.Min) / float64(a.cfg.Max-a.cfg.Min)
-	return a.cfg.MinWindow + time.Duration(frac*float64(a.cfg.MaxWindow-a.cfg.MinWindow))
-}
 
 // Observe feeds one p99 measurement and advances the controller.
 // pressured reports that admission rejected queries since the last
@@ -116,14 +81,8 @@ func (a *AIMD) Observe(p99 time.Duration, pressured bool) {
 	cfg := a.cfg
 	if p99 > cfg.SLO {
 		// Overload: remember where it hurt, back off multiplicatively.
-		a.ceiling = a.size - 1
-		if a.ceiling < cfg.Min {
-			a.ceiling = cfg.Min
-		}
-		a.size = int(float64(a.size) * cfg.Backoff)
-		if a.size < cfg.Min {
-			a.size = cfg.Min
-		}
+		a.ceiling = max(a.size-1, 1)
+		a.size = max(int(float64(a.size)*cfg.Backoff), 1)
 		a.healthyRun = 0
 		return
 	}

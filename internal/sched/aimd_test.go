@@ -33,7 +33,7 @@ func repeat(d time.Duration, n int) []time.Duration {
 // and a transient burst — and asserts convergence plus bounded
 // oscillation at equilibrium.
 func TestAIMDTable(t *testing.T) {
-	cfg := AIMDConfig{Min: 1, Max: 32, SLO: ms(50)}
+	cfg := AIMDConfig{Max: 32, SLO: ms(50)}
 	cases := []struct {
 		name string
 		seq  []time.Duration
@@ -61,7 +61,7 @@ func TestAIMDTable(t *testing.T) {
 		},
 		{
 			// Step overload: after ramping, p99 jumps past the SLO and
-			// stays there. The size must collapse to Min and hold (every
+			// stays there. The size must collapse to 1 and hold (every
 			// overload halves and re-arms the ceiling; nothing recovers
 			// while p99 stays high).
 			name:         "step-overload",
@@ -110,8 +110,8 @@ func TestAIMDTable(t *testing.T) {
 // breach stops it. This is the escape from the stuck equilibrium where
 // admission holds queue delay at exactly the grow band's upper edge.
 func TestAIMDPressureClimbsPastCeiling(t *testing.T) {
-	a := NewAIMD(AIMDConfig{Min: 1, Max: 32, SLO: ms(50)})
-	// Cold-start overload at Min floors the ceiling at Min.
+	a := NewAIMD(AIMDConfig{Max: 32, SLO: ms(50)})
+	// Cold-start overload at 1 floors the ceiling at 1.
 	a.Observe(ms(200), false)
 	if a.Batch() != 1 {
 		t.Fatalf("batch = %d after cold overload, want 1", a.Batch())
@@ -138,43 +138,16 @@ func TestAIMDPressureClimbsPastCeiling(t *testing.T) {
 	}
 }
 
-// TestAIMDBounds: the size never leaves [Min, Max] no matter the
-// input, including zero and absurd latencies.
+// TestAIMDBounds: the size never leaves [1, Max] no matter the input,
+// including zero and absurd latencies.
 func TestAIMDBounds(t *testing.T) {
-	a := NewAIMD(AIMDConfig{Min: 2, Max: 8, SLO: ms(20)})
+	a := NewAIMD(AIMDConfig{Max: 8, SLO: ms(20)})
 	inputs := []time.Duration{0, ms(1), ms(1000), ms(19), ms(21), 0, ms(5), ms(500), ms(5)}
 	for i := 0; i < 100; i++ {
 		a.Observe(inputs[i%len(inputs)], i%3 == 0)
-		if b := a.Batch(); b < 2 || b > 8 {
-			t.Fatalf("batch %d left [2,8] after observation %d", b, i)
+		if b := a.Batch(); b < 1 || b > 8 {
+			t.Fatalf("batch %d left [1,8] after observation %d", b, i)
 		}
-		if w := a.Window(); w < 0 {
-			t.Fatalf("negative window %v", w)
-		}
-	}
-}
-
-// TestAIMDWindowTracksBatch: the flush window grows monotonically with
-// the batch size between its bounds.
-func TestAIMDWindowTracksBatch(t *testing.T) {
-	a := NewAIMD(AIMDConfig{Min: 1, Max: 16, SLO: ms(40), MinWindow: ms(0.1), MaxWindow: ms(4)})
-	if w := a.Window(); w != ms(0.1) {
-		t.Fatalf("window at Min = %v, want 100µs", w)
-	}
-	prev := a.Window()
-	for i := 0; i < 15; i++ {
-		a.Observe(ms(5), false)
-		if w := a.Window(); w < prev {
-			t.Fatalf("window shrank %v→%v while batch grew", prev, w)
-		} else {
-			prev = w
-		}
-	}
-	if a.Batch() != 16 {
-		t.Fatalf("batch = %d, want 16", a.Batch())
-	}
-	if w := a.Window(); w != ms(4) {
-		t.Fatalf("window at Max = %v, want 4ms", w)
 	}
 }
 
@@ -182,7 +155,7 @@ func TestAIMDWindowTracksBatch(t *testing.T) {
 // must not blow straight past s-1 again; it sits at the ceiling for
 // ProbeAfter healthy rounds before each single probe step.
 func TestAIMDCeilingProbes(t *testing.T) {
-	a := NewAIMD(AIMDConfig{Min: 1, Max: 32, SLO: ms(50), ProbeAfter: 4})
+	a := NewAIMD(AIMDConfig{Max: 32, SLO: ms(50), ProbeAfter: 4})
 	// Ramp to 10, then overload: ceiling = 9, size halves to 5.
 	drive(a, repeat(ms(10), 9))
 	if a.Batch() != 10 {

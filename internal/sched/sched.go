@@ -11,10 +11,9 @@
 //     the instances already admitted, and rejects queries that cannot
 //     meet their budget *before* they occupy queue capacity, instead
 //     of letting them rot until batch assembly notices the corpse.
-//   - An adaptive batch controller (AIMD) resizes the batch cap (and
-//     the bound on waiting for the batch floor) within [Min, MaxBatch]
-//     to hold observed p99 at the SLO while maximizing instances per
-//     second. The serving path batches work-conservingly — a free
+//   - An adaptive batch controller (AIMD) resizes the batch cap within
+//     [1, MaxBatch] to hold observed p99 at the SLO while maximizing
+//     instances per second. The serving path batches work-conservingly — a free
 //     worker takes whatever is pending — so the cap only binds while
 //     every worker is busy.
 //   - A weighted priority gate (Gate) orders pending batch executions

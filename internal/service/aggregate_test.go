@@ -198,23 +198,20 @@ func (g *gated) answers() (ok, drained int) {
 
 // TestAggregatorWorkConserving pins the batching rule with a forward
 // pass the test gates: a pending batch goes to a worker the moment one
-// is free, grows (up to the cap) only while none is, and waits on the
-// timer only for the MinBatchInstances floor. Every window below that
-// must not be waited on is an hour, so waiting on it fails the case.
+// is free and grows (up to the cap) only while none is.
 func TestAggregatorWorkConserving(t *testing.T) {
 	cases := []struct {
 		name string
 		cfg  AppConfig
 		run  func(t *testing.T, g *gated)
 		// expected counters once every query is answered
-		ok, drained, batches, shed, timerArms int64
+		ok, drained, batches, shed int64
 	}{
 		{
 			// An idle replica: each query leaves alone and at once, the
-			// 64-instance cap and the window notwithstanding, and the
-			// timer is never armed.
+			// 64-instance cap notwithstanding.
 			name: "idle-batch-of-one",
-			cfg:  AppConfig{BatchInstances: 64, BatchWindow: time.Hour, Workers: 2},
+			cfg:  AppConfig{BatchInstances: 64, Workers: 2},
 			run: func(t *testing.T, g *gated) {
 				for i := 0; i < 3; i++ {
 					g.admitted(1)
@@ -227,7 +224,7 @@ func TestAggregatorWorkConserving(t *testing.T) {
 			// Cross-request batching: what queues behind a busy worker
 			// leaves as one batch when the worker comes free.
 			name: "queued-behind-busy-worker-leave-together",
-			cfg:  AppConfig{BatchInstances: 64, BatchWindow: time.Hour, Workers: 1},
+			cfg:  AppConfig{BatchInstances: 64, Workers: 1},
 			run: func(t *testing.T, g *gated) {
 				g.admitted(1)
 				g.hold(1)
@@ -241,7 +238,7 @@ func TestAggregatorWorkConserving(t *testing.T) {
 			// At the cap the aggregator stops reading, the queue behind it
 			// fills to MaxPending, and the next query is shed.
 			name: "cap-reached-while-busy-sheds",
-			cfg:  AppConfig{BatchInstances: 3, BatchWindow: time.Hour, Workers: 1, MaxPending: 2},
+			cfg:  AppConfig{BatchInstances: 3, Workers: 1, MaxPending: 2},
 			run: func(t *testing.T, g *gated) {
 				g.admitted(1)
 				g.hold(1)
@@ -266,35 +263,12 @@ func TestAggregatorWorkConserving(t *testing.T) {
 			ok: 6, batches: 3, shed: 1,
 		},
 		{
-			// A floor holds the batch back from an idle worker until it
-			// is met: the first forward pass the worker reports is all
-			// three queries, not the first one.
-			name: "floor-waits-for-floor",
-			cfg:  AppConfig{BatchInstances: 8, MinBatchInstances: 3, BatchWindow: time.Hour, Workers: 1},
-			run: func(t *testing.T, g *gated) {
-				g.admitted(3)
-				g.batch(3)
-			},
-			ok: 3, batches: 1, timerArms: 1,
-		},
-		{
-			// ... or until the window has passed, the one wait the timer
-			// still bounds.
-			name: "floor-waits-for-window",
-			cfg:  AppConfig{BatchInstances: 8, MinBatchInstances: 3, BatchWindow: time.Millisecond, Workers: 1},
-			run: func(t *testing.T, g *gated) {
-				g.admitted(1)
-				g.batch(1)
-			},
-			ok: 1, batches: 1, timerArms: 1,
-		},
-		{
 			// Close while the aggregator is offering a batch no worker is
 			// free to take, with stragglers queued behind it: the offered
 			// batch still runs, and every query is answered exactly once,
 			// served or drained.
 			name: "close-mid-hand-off",
-			cfg:  AppConfig{BatchInstances: 4, BatchWindow: time.Hour, Workers: 1, MaxPending: 8},
+			cfg:  AppConfig{BatchInstances: 4, Workers: 1, MaxPending: 8},
 			run: func(t *testing.T, g *gated) {
 				g.admitted(1)
 				g.hold(1)
@@ -336,9 +310,6 @@ func TestAggregatorWorkConserving(t *testing.T) {
 			if st.ShedAdmission != tc.shed || st.Errors != 0 || st.ShedExpired != 0 || st.Expired != 0 {
 				t.Errorf("unexpected failures: %+v (want %d shed)", st, tc.shed)
 			}
-			if n := g.a.timerArms.Load(); n != tc.timerArms {
-				t.Errorf("timer armed %d times, want %d", n, tc.timerArms)
-			}
 		})
 	}
 }
@@ -352,7 +323,7 @@ func TestAggregatorWorkConserving(t *testing.T) {
 // not yet enqueued when the pass is released).
 func TestAggregatorSaturatedClosedLoop(t *testing.T) {
 	const clients, rounds = 16, 20
-	g := newGated(t, AppConfig{BatchInstances: 64, BatchWindow: time.Hour, Workers: 1})
+	g := newGated(t, AppConfig{BatchInstances: 64, Workers: 1})
 	var started atomic.Int64 // queries the clients have begun
 	stop := make(chan struct{})
 	var wg sync.WaitGroup
@@ -417,7 +388,7 @@ func TestPlanPoolGrowsOnDemand(t *testing.T) {
 	const workers = 4
 	for _, k := range []int{1, 2, workers, workers + 2} {
 		t.Run(fmt.Sprintf("concurrent=%d", k), func(t *testing.T) {
-			g := newGated(t, AppConfig{BatchInstances: 1, BatchWindow: time.Hour, Workers: workers, MaxPending: 8})
+			g := newGated(t, AppConfig{BatchInstances: 1, Workers: workers, MaxPending: 8})
 			built := func() int {
 				g.a.plans.mu.Lock()
 				defer g.a.plans.mu.Unlock()
@@ -499,7 +470,7 @@ func TestAggregatorUnderLoad(t *testing.T) {
 // could tear: a snapshot could read instances just before a batch's
 // increment and queries just after it.
 func TestStatsSnapshotNeverTears(t *testing.T) {
-	s := inproc(t, AppConfig{BatchInstances: 3, BatchWindow: time.Millisecond, Workers: 2})
+	s := inproc(t, AppConfig{BatchInstances: 3, Workers: 2})
 
 	stop := make(chan struct{})
 	var wg sync.WaitGroup

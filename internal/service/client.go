@@ -228,7 +228,7 @@ func (c *Client) ServerLatency(app string) (string, error) {
 }
 
 // ServerSched returns one application's live scheduler state (batch
-// cap, floor-wait window, admission counters) as rendered by the "sched"
+// cap, admission estimate and counters) as rendered by the "sched"
 // control verb — "disabled" for an app registered without an SLO.
 // sched.ParseInfo inverts the enabled form.
 func (c *Client) ServerSched(app string) (string, error) {

@@ -50,7 +50,7 @@ func TestExpiredContextRejectedBeforeForward(t *testing.T) {
 	s.SetLogger(silence)
 	defer s.Close()
 	if err := s.Register("slow", slowNet(5*time.Millisecond), AppConfig{
-		BatchInstances: 1, BatchWindow: time.Millisecond, Workers: 1,
+		BatchInstances: 1, Workers: 1,
 	}); err != nil {
 		t.Fatal(err)
 	}
@@ -78,7 +78,7 @@ func TestDeadlineExpiresInQueueWithoutOccupyingBatch(t *testing.T) {
 	s.SetLogger(silence)
 	defer s.Close()
 	if err := s.Register("slow", slowNet(forward), AppConfig{
-		BatchInstances: 1, BatchWindow: time.Millisecond, Workers: 1,
+		BatchInstances: 1, Workers: 1,
 	}); err != nil {
 		t.Fatal(err)
 	}
@@ -126,7 +126,7 @@ func TestQueueWaitDominatesForwardUnderSlowWorker(t *testing.T) {
 	go s.Serve(l)
 	t.Cleanup(s.Close)
 	if err := s.Register("slow", slowNet(forward), AppConfig{
-		BatchInstances: 1, BatchWindow: time.Millisecond, Workers: 1,
+		BatchInstances: 1, Workers: 1,
 	}); err != nil {
 		t.Fatal(err)
 	}
@@ -187,7 +187,7 @@ func TestWorkerPanicFailsRequestNotCaller(t *testing.T) {
 	defer s.Close()
 	netw := nn.NewNet("bad", nn.KindDNN, 8).Add(&panicLayer{})
 	if err := s.Register("bad", netw, AppConfig{
-		BatchInstances: 1, BatchWindow: time.Millisecond, Workers: 1,
+		BatchInstances: 1, Workers: 1,
 	}); err != nil {
 		t.Fatal(err)
 	}
@@ -214,11 +214,10 @@ func TestWorkerPanicFailsRequestNotCaller(t *testing.T) {
 
 func TestCloseDrainsGracefullyUnderLoad(t *testing.T) {
 	const forward = 20 * time.Millisecond
-	const window = 2 * time.Millisecond
 	s := NewServer()
 	s.SetLogger(silence)
 	if err := s.Register("slow", slowNet(forward), AppConfig{
-		BatchInstances: 16, BatchWindow: window, Workers: 2, MaxPending: 64,
+		BatchInstances: 16, Workers: 2, MaxPending: 64,
 	}); err != nil {
 		t.Fatal(err)
 	}
@@ -239,10 +238,10 @@ func TestCloseDrainsGracefullyUnderLoad(t *testing.T) {
 	start := time.Now()
 	s.Close()
 	closeTook := time.Since(start)
-	// Acceptance bound: 2× the batch window plus the forward passes
-	// already committed (two workers can each be mid-forward with one
-	// more batch buffered), with scheduling slack.
-	if limit := 2*window + 6*forward + 500*time.Millisecond; closeTook > limit {
+	// Acceptance bound: the forward passes already committed (two
+	// workers can each be mid-forward with one more batch buffered),
+	// with scheduling slack.
+	if limit := 6*forward + 500*time.Millisecond; closeTook > limit {
 		t.Fatalf("Close took %v, want < %v", closeTook, limit)
 	}
 	finished := make(chan struct{})
@@ -296,7 +295,7 @@ func TestInferCtxDeadlineOverTCP(t *testing.T) {
 	go s.Serve(l)
 	t.Cleanup(s.Close)
 	if err := s.Register("slow", slowNet(forward), AppConfig{
-		BatchInstances: 1, BatchWindow: time.Millisecond, Workers: 1,
+		BatchInstances: 1, Workers: 1,
 	}); err != nil {
 		t.Fatal(err)
 	}
@@ -342,7 +341,7 @@ func TestLifecycleConcurrentMix(t *testing.T) {
 	s := NewServer()
 	s.SetLogger(silence)
 	if err := s.Register("slow", slowNet(2*time.Millisecond), AppConfig{
-		BatchInstances: 4, BatchWindow: time.Millisecond, Workers: 2, MaxPending: 8,
+		BatchInstances: 4, Workers: 2, MaxPending: 8,
 	}); err != nil {
 		t.Fatal(err)
 	}

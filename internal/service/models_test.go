@@ -7,7 +7,6 @@ import (
 	"strings"
 	"sync"
 	"testing"
-	"time"
 
 	"djinn/internal/modelstore"
 	"djinn/internal/tensor"
@@ -15,7 +14,7 @@ import (
 )
 
 // storeCfg is a small batching config for store-backed test apps.
-var storeCfg = AppConfig{BatchInstances: 4, BatchWindow: 200 * time.Microsecond, Workers: 1}
+var storeCfg = AppConfig{BatchInstances: 4, Workers: 1}
 
 // exportModels writes n versions of testNet-shaped models named
 // "m000".."m(n-1)" (each a distinct seed) into a temp dir and returns
@@ -39,7 +38,7 @@ func TestUnregisterDrainsOneApp(t *testing.T) {
 	s := NewServer()
 	s.SetLogger(silence)
 	defer s.Close()
-	cfg := AppConfig{BatchInstances: 2, BatchWindow: time.Millisecond, Workers: 1}
+	cfg := AppConfig{BatchInstances: 2, Workers: 1}
 	if err := s.Register("a", testNet(1), cfg); err != nil {
 		t.Fatal(err)
 	}
@@ -262,7 +261,7 @@ func TestModelStoreVersionedNameGoesThroughStore(t *testing.T) {
 func TestModelControlVerbs(t *testing.T) {
 	testutil.NoLeaks(t)
 	paths := exportModels(t, 2)
-	reg := modelstore.NewRegistry(modelstore.Config{Warm: true})
+	reg := modelstore.NewRegistry(modelstore.Config{})
 	s := NewServer()
 	s.SetLogger(silence)
 	s.AttachModelStore(reg, storeCfg)

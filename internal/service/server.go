@@ -26,22 +26,10 @@ import (
 type AppConfig struct {
 	// BatchInstances is the number of DNN input instances aggregated
 	// into one forward pass (queries × instances-per-query at the
-	// Table 3 operating point). Zero means 64.
+	// Table 3 operating point). Zero means 64. Batching is
+	// work-conserving: a batch waits for a worker, never for a timer,
+	// and grows toward this cap only while every worker is busy.
 	BatchInstances int
-	// MinBatchInstances is the floor a pending batch must reach before
-	// an idle worker takes it (BatchWindow bounds the wait), and the
-	// floor of the adaptive batch controller: under an SLO the batch cap
-	// floats within [MinBatchInstances, BatchInstances]. Setting it equal
-	// to BatchInstances pins the batch size — useful when the backend's
-	// per-batch cost is fixed and shrinking the batch only sheds
-	// capacity. Zero means 1: an idle worker takes whatever is pending.
-	MinBatchInstances int
-	// BatchWindow bounds how long a pending batch below
-	// MinBatchInstances waits for the floor before a free worker takes
-	// it anyway. At the default floor of 1 no query ever waits on it:
-	// batching is work-conserving, so a batch waits for a worker, never
-	// for a timer. Zero means 2ms.
-	BatchWindow time.Duration
 	// Workers is the number of concurrent inference workers (the
 	// paper's concurrent DNN service instances; 4 is the paper's
 	// chosen MPS operating point). Zero means 4.
@@ -59,9 +47,9 @@ type AppConfig struct {
 	// SLO declares a target p99 latency for the app. A non-zero SLO
 	// enables the scheduler: admission control rejects queries that
 	// cannot meet their deadline before they enter the queue, and an
-	// adaptive controller resizes the batch cap (and the floor-wait
-	// bound) within [MinBatchInstances, BatchInstances] to hold p99 at
-	// the SLO. Zero keeps the static BatchInstances cap.
+	// adaptive controller resizes the batch cap within
+	// [1, BatchInstances] to hold p99 at the SLO. Zero keeps the static
+	// BatchInstances cap.
 	SLO time.Duration
 	// Priority is the app's tenant class at the cross-app execution
 	// gate (see Server.SetSchedSlots). Zero is sched.Throughput.
@@ -81,15 +69,6 @@ type AppConfig struct {
 func (c AppConfig) withDefaults() AppConfig {
 	if c.BatchInstances <= 0 {
 		c.BatchInstances = 64
-	}
-	if c.MinBatchInstances > c.BatchInstances {
-		c.MinBatchInstances = c.BatchInstances
-	}
-	if c.MinBatchInstances <= 0 {
-		c.MinBatchInstances = 1
-	}
-	if c.BatchWindow <= 0 {
-		c.BatchWindow = 2 * time.Millisecond
 	}
 	if c.Workers <= 0 {
 		c.Workers = 4
@@ -154,9 +133,8 @@ type app struct {
 	shedAdmission atomic.Int64
 	shedExpired   atomic.Int64
 	expired       atomic.Int64
-	timerArms     atomic.Int64 // times the aggregator armed the floor-wait timer
-	plans         planStack    // compiled execution plans, one checkout per batch
-	stored        bool         // backed by a model-store mapping (see models.go)
+	plans         planStack // compiled execution plans, one checkout per batch
+	stored        bool      // backed by a model-store mapping (see models.go)
 
 	// gateMu serialises enqueues against shutdown: dispatch holds the
 	// read side across its (non-blocking) send, stop takes the write
@@ -377,7 +355,6 @@ func (s *Server) register(name string, netw *nn.Net, cfg AppConfig, stored bool)
 			Priority: cfg.Priority,
 			MaxBatch: cfg.BatchInstances,
 			Workers:  cfg.Workers,
-			AIMD:     sched.AIMDConfig{Min: cfg.MinBatchInstances},
 		})
 	}
 	s.apps[name] = a
@@ -547,15 +524,6 @@ func (a *app) batchTarget() int {
 	return a.cfg.BatchInstances
 }
 
-// floorWait bounds how long a pending batch below MinBatchInstances
-// waits for the floor.
-func (a *app) floorWait() time.Duration {
-	if a.ctrl != nil {
-		return a.ctrl.Window()
-	}
-	return a.cfg.BatchWindow
-}
-
 // aggregate collects requests into batches under one work-conserving
 // rule: the pending batch goes to a worker the moment one is free.
 // batchCh is unbuffered and workers block receiving on it, so offering
@@ -568,12 +536,6 @@ func (a *app) floorWait() time.Duration {
 // any. At the cap the aggregator stops reading reqCh, which then fills
 // to MaxPending and sheds.
 //
-// The one wait left is for the MinBatchInstances floor: a batch below
-// it is not offered until it reaches the floor or floorWait has passed
-// since its first query. That timer is armed only then, so at the
-// default floor of 1 the aggregator never touches it (timerArms
-// counts).
-//
 // Queries whose deadline has already expired are failed here, at
 // batch-assembly time, so a dead query never occupies forward-pass
 // capacity.
@@ -582,14 +544,7 @@ func (a *app) aggregate(batchCh chan<- []*request, closing <-chan struct{}) {
 	var (
 		pending   []*request
 		instances int
-		armed     bool // the floor-wait timer is running
-		waited    bool // it ran out: offer the batch below the floor
 	)
-	timer := time.NewTimer(time.Hour)
-	if !timer.Stop() {
-		<-timer.C
-	}
-	defer timer.Stop()
 	admit := func(req *request) {
 		req.dequeued = time.Now()
 		if req.expired() {
@@ -613,21 +568,16 @@ func (a *app) aggregate(batchCh chan<- []*request, closing <-chan struct{}) {
 		}
 		pending = append(pending, req)
 		instances += req.instances
-		if len(pending) == 1 && instances < a.cfg.MinBatchInstances {
-			timer.Reset(a.floorWait())
-			armed = true
-			a.timerArms.Add(1)
-		}
 	}
 	for {
 		// A nil channel never becomes ready: in is nil while the batch is
-		// at its cap, out until the batch may leave.
+		// at its cap, out while nothing is pending.
 		var in <-chan *request
 		if instances < a.batchTarget() {
 			in = a.reqCh
 		}
 		var out chan<- []*request
-		if len(pending) > 0 && (instances >= a.cfg.MinBatchInstances || waited) {
+		if len(pending) > 0 {
 			out = batchCh
 		}
 		select {
@@ -659,19 +609,7 @@ func (a *app) aggregate(batchCh chan<- []*request, closing <-chan struct{}) {
 		case req := <-in:
 			admit(req)
 		case out <- pending:
-			pending, instances, waited = nil, 0, false
-			if armed && !timer.Stop() {
-				// The timer fired as the batch reached its floor; drain
-				// the stale tick so the next arm's fire is the only value
-				// ever in the channel.
-				select {
-				case <-timer.C:
-				default:
-				}
-			}
-			armed = false
-		case <-timer.C:
-			armed, waited = false, len(pending) > 0
+			pending, instances = nil, 0
 		}
 	}
 }
@@ -749,9 +687,6 @@ func (a *app) runBatch(batch []*request) {
 	total := 0
 	for _, r := range batch {
 		total += r.instances
-	}
-	if a.ctrl != nil {
-		a.ctrl.Started(total)
 	}
 	accounted := false
 	var booking *request // claimed, response not yet delivered
@@ -987,8 +922,8 @@ func (s *Server) handle(conn net.Conn) {
 // control answers a control command: "apps" lists registered
 // applications; "stats <app>" reports an application's counters;
 // "latency <app>" reports its per-stage lifecycle breakdown;
-// "sched <app>" reports the live scheduler state (batch cap, floor-wait
-// window, admission counters) or "disabled" for a static app;
+// "sched <app>" reports the live scheduler state (batch cap, admission
+// estimate and counters) or "disabled" for a static app;
 // "precision [app]" reports the kernel precision an app's plan pool was
 // compiled at (all apps when the name is omitted);
 // "trace <id>" renders the spans recorded for one traced query and

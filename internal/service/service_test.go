@@ -121,7 +121,7 @@ func TestProtocolRejectsGarbage(t *testing.T) {
 }
 
 func TestEndToEndInference(t *testing.T) {
-	_, addr := startServer(t, AppConfig{BatchInstances: 4, BatchWindow: time.Millisecond})
+	_, addr := startServer(t, AppConfig{BatchInstances: 4})
 	c, err := Dial(addr)
 	if err != nil {
 		t.Fatal(err)
@@ -329,7 +329,7 @@ func TestInProcessInfer(t *testing.T) {
 	s := NewServer()
 	s.SetLogger(silence)
 	defer s.Close()
-	if err := s.Register("tiny", testNet(1), AppConfig{BatchWindow: time.Millisecond}); err != nil {
+	if err := s.Register("tiny", testNet(1), AppConfig{}); err != nil {
 		t.Fatal(err)
 	}
 	in := make([]float32, 8)
@@ -414,7 +414,6 @@ func TestBackpressureShedsLoad(t *testing.T) {
 	defer s.Close()
 	if err := s.Register("tiny", testNet(1), AppConfig{
 		BatchInstances: 1,
-		BatchWindow:    time.Millisecond,
 		Workers:        1,
 		MaxPending:     2,
 	}); err != nil {

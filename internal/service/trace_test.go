@@ -163,9 +163,9 @@ func TestTraceRecordsQueueExpiry(t *testing.T) {
 	srv := NewServer()
 	srv.SetLogger(silence)
 	t.Cleanup(srv.Close)
-	// One worker, huge batch window: the first query occupies the
-	// worker while the second expires waiting.
-	if err := srv.Register("tiny", testNet(1), AppConfig{BatchInstances: 1, Workers: 1, BatchWindow: time.Millisecond}); err != nil {
+	// One worker, batches of one: the first query occupies the worker
+	// while the second expires waiting.
+	if err := srv.Register("tiny", testNet(1), AppConfig{BatchInstances: 1, Workers: 1}); err != nil {
 		t.Fatal(err)
 	}
 	id := trace.NewID()

@@ -10,7 +10,6 @@ package tonic
 import (
 	"fmt"
 	"sort"
-	"time"
 
 	"djinn/internal/models"
 	"djinn/internal/nn"
@@ -52,7 +51,6 @@ func RegisterPrecision(s *service.Server, a models.App, prec nn.Precision) error
 	spec := workload.Get(a)
 	return s.Register(ServiceName(a), models.BuildCached(a), service.AppConfig{
 		BatchInstances: spec.BatchSize * spec.Instances,
-		BatchWindow:    2 * time.Millisecond,
 		Workers:        4,
 		Precision:      prec,
 	})

@@ -20,7 +20,6 @@ func digServer(t *testing.T) *service.Server {
 	spec := Get(models.DIG)
 	if err := s.Register("dig", models.BuildCached(models.DIG), service.AppConfig{
 		BatchInstances: spec.BatchSize * spec.Instances,
-		BatchWindow:    time.Millisecond,
 	}); err != nil {
 		t.Fatal(err)
 	}
