@@ -8,7 +8,7 @@ BENCH_COUNT ?= 5
 BENCH_TIME  ?= 200ms
 BENCH_PKGS  ?= ./internal/tensor/... ./internal/nn/... ./internal/models/...
 
-.PHONY: check vet build cross test race results bench bench-all benchcmp benchab models gateway
+.PHONY: check vet build cross test purego race results bench bench-all benchcmp benchab models gateway
 
 # check runs everything CI should gate on: vet, a full build, the full
 # test suite (tier-1), and race-detector runs for the concurrency-heavy
@@ -42,6 +42,12 @@ cross:
 
 test:
 	$(GO) test ./...
+
+# purego reruns the kernel packages with the assembly left out, so the
+# portable twin of every amd64 kernel (GemvBatch's tile) is tested on an
+# AVX2 host too, not only on hosts without it.
+purego:
+	$(GO) test -tags purego ./internal/tensor ./internal/nn
 
 race:
 	GOMAXPROCS=1 $(GO) test -race -count=20 -run 'TestAggregator|TestAdmission|TestPastDeadline|TestPlan' ./internal/service ./internal/sched ./internal/nn

@@ -119,6 +119,7 @@ func (k Kernel) Bytes() float64 { return k.BytesIn + k.BytesOut }
 // mirroring DjiNN's shared in-memory model design.
 type Ctx struct {
 	col   []float32   // im2col scratch
+	pan   []float32   // large FC layers' batch panels (tensor.GemvBatch)
 	rng   *tensor.RNG // dropout masks during training
 	Train bool        // enables dropout
 	// Workers is the intra-op parallelism knob: GEMM-backed layers
@@ -139,6 +140,15 @@ func (c *Ctx) scratch(n int) []float32 {
 		c.col = make([]float32, n)
 	}
 	return c.col[:n]
+}
+
+// panels returns n floats of the large FC layers' panel scratch,
+// growing it only when it is too small.
+func (c *Ctx) panels(n int) []float32 {
+	if cap(c.pan) < n {
+		c.pan = make([]float32, n)
+	}
+	return c.pan[:n]
 }
 
 // workers returns the effective intra-op worker count (at least 1).

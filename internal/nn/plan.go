@@ -10,13 +10,13 @@ import (
 // Plan is a compile-once execution plan for one Net. Compile fixes the
 // plan's wiring — step marking, fusion, arena slot assignment and the
 // per-sample size of every slot, im2col scratch — and the batch-sized
-// state (arenas, per-batch activation views, int8 FC scratch) is built
-// for the largest batch run so far, its high-water batch. A call with a
-// larger batch regrows that state to max(batch, min(2×hw, maxBatch)), so
-// a plan allocates it at most ⌈log₂ maxBatch⌉+1 times, holds only what
-// its traffic touches, and performs zero heap allocations at any batch
-// up to its high-water mark. The plan also rewires execution for
-// inference:
+// state (arenas, per-batch activation views, FC panel and int8 FC
+// scratch) is built for the largest batch run so far, its high-water
+// batch. A call with a larger batch regrows that state to max(batch,
+// min(2×hw, maxBatch)), so a plan allocates it at most ⌈log₂ maxBatch⌉+1
+// times, holds only what its traffic touches, and performs zero heap
+// allocations at any batch up to its high-water mark. The plan also
+// rewires execution for inference:
 //
 //   - Elementwise layers (ReLU, sigmoid, tanh, hardtanh, dropout,
 //     softmax) run in place over their input buffer, and the remaining
@@ -64,6 +64,7 @@ type Plan struct {
 	qAK   int       // Int8: widest FC fan-in, the row length of qA
 	qA    []uint64  // Int8: quantized FC activations, lane pairs (hw rows)
 	qASum []int32   // Int8: per-row signed sums for the A scratch
+	fcK   int       // Float32: widest tiled FC fan-in, sizing ctx's panels
 }
 
 type planStep struct {
@@ -189,6 +190,12 @@ func (n *Net) CompileOpts(maxBatch int, o CompileOpts) *Plan {
 	if o.Precision != Float32 && !o.Retain {
 		p.precision = o.Precision
 		p.buildBackend(o.Precision)
+	} else {
+		for _, l := range n.layers {
+			if fc, ok := l.(*FC); ok && fc.tiled() {
+				p.fcK = max(p.fcK, fc.In)
+			}
+		}
 	}
 	p.reserve(1)
 	return p
@@ -254,6 +261,9 @@ func (p *Plan) reserve(batch int) {
 	if p.qAK > 0 {
 		p.qA = make([]uint64, tensor.PackedAInt8Len(p.hw, p.qAK))
 		p.qASum = make([]int32, p.hw)
+	}
+	if p.fcK > 0 {
+		p.ctx.panels(tensor.PanelLen(p.hw, p.fcK))
 	}
 }
 

@@ -2,6 +2,7 @@ package nn
 
 import (
 	"fmt"
+	"math"
 	"math/bits"
 	"sync"
 	"testing"
@@ -29,6 +30,19 @@ func zooNet(seed uint64) *Net {
 		Add(NewFC("fc2", rng, 16, 12)).
 		Add(NewHardTanh("ht1")).
 		Add(NewFC("fc3", rng, 12, 10)).
+		Add(NewSoftmax("prob"))
+	return n
+}
+
+// wideFCNet puts its first FC layer just over fcTileMinBytes, so it runs
+// the batched tile, with In mod 4 = 1 and Out mod 4 = 3 to reach the
+// tile's scalar tail and one-row path; the second FC stays per-sample.
+func wideFCNet(seed uint64) *Net {
+	rng := tensor.NewRNG(seed)
+	n := NewNet("wide-fc", KindDNN, 301)
+	n.Add(NewFC("fc1", rng, 301, 871)).
+		Add(NewReLU("relu1")).
+		Add(NewFC("fc2", rng, 871, 12)).
 		Add(NewSoftmax("prob"))
 	return n
 }
@@ -137,7 +151,7 @@ func TestPlanActivationMemoryShrinks(t *testing.T) {
 }
 
 func TestPlanZeroAllocSteadyState(t *testing.T) {
-	for _, build := range []func(uint64) *Net{smallCNN, zooNet} {
+	for _, build := range []func(uint64) *Net{smallCNN, zooNet, wideFCNet} {
 		n := build(6)
 		plan := n.Compile(16)
 		plan.Forward(randInput(n, 5, 1)) // high-water batch 5
@@ -149,6 +163,75 @@ func TestPlanZeroAllocSteadyState(t *testing.T) {
 		}
 		if plan.hw != 5 {
 			t.Fatalf("%s: high-water batch %d after batches ≤ 5, want 5", n.Name(), plan.hw)
+		}
+	}
+}
+
+// TestFCTiledMatchesPerSampleGemv: a layer at or above fcTileMinBytes
+// runs the batched tile, and its output — the bias and fused ReLU
+// epilogues included — is bit-identical to one tensor.Gemv per sample
+// followed by the same epilogue, at every batch size and worker count.
+func TestFCTiledMatchesPerSampleGemv(t *testing.T) {
+	n := wideFCNet(17)
+	fc := n.layers[0].(*FC)
+	if !fc.tiled() || n.layers[2].(*FC).tiled() {
+		t.Fatalf("fc1 tiled = %v, fc2 tiled = %v; want only fc1 (%d bytes) on the tile", fc.tiled(), n.layers[2].(*FC).tiled(), 4*fc.In*fc.Out)
+	}
+	w, bias := fc.Weight.W.Data(), fc.Bias.W.Data()
+	for _, batch := range []int{1, 7, 8, 9, 17} {
+		in := randInput(n, batch, uint64(batch))
+		for _, relu := range []bool{false, true} {
+			want := make([]float32, batch*fc.Out)
+			for b := 0; b < batch; b++ {
+				tensor.Gemv(fc.Out, fc.In, 1, w, in.Data()[b*fc.In:(b+1)*fc.In], 0, want[b*fc.Out:(b+1)*fc.Out])
+			}
+			if relu {
+				tensor.AddBiasReLU(batch, fc.Out, want, bias)
+			} else {
+				tensor.AddBias(batch, fc.Out, want, bias)
+			}
+			for _, workers := range []int{1, 2, 3} {
+				ctx := NewCtx(1)
+				ctx.Workers = workers
+				out := tensor.New(batch, fc.Out)
+				fc.forward(ctx, in, out, relu)
+				for i, v := range out.Data() {
+					if math.Float32bits(v) != math.Float32bits(want[i]) {
+						t.Fatalf("batch %d relu %v workers %d: out[%d] = %v, per-sample Gemv %v", batch, relu, workers, i, v, want[i])
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestPlanRecoversFromHostileQuery: an input that overflows to ±Inf
+// leaves non-finite values in a plan's arenas, which the next query's
+// FC layers overwrite. A layer that read its stale output (0·Inf is
+// NaN) would return NaN for every later query; each one must instead
+// match a fresh plan's bits.
+func TestPlanRecoversFromHostileQuery(t *testing.T) {
+	rng := tensor.NewRNG(21)
+	n := NewNet("fc-stack", KindDNN, 4)
+	n.Add(NewFC("fc1", rng, 4, 8)).
+		Add(NewReLU("relu1")).
+		Add(NewFC("fc2", rng, 8, 8)).
+		Add(NewReLU("relu2")).
+		Add(NewFC("fc3", rng, 8, 2))
+	hostile := tensor.FromSlice([]float32{3e38, -3e38, 3e38, -3e38}, 1, 4)
+	normal := tensor.FromSlice([]float32{0.5, -1, 2, 0.25}, 1, 4)
+	for _, workers := range []int{1, 2} {
+		opts := CompileOpts{Workers: workers}
+		want := n.CompileOpts(1, opts).Forward(normal).Data()
+		plan := n.CompileOpts(1, opts)
+		plan.Forward(hostile)
+		for q := 0; q < 3; q++ {
+			got := plan.Forward(normal).Data()
+			for i := range want {
+				if math.Float32bits(got[i]) != math.Float32bits(want[i]) {
+					t.Fatalf("workers %d, query %d after the hostile one: %v, fresh plan %v", workers, q, got, want)
+				}
+			}
 		}
 	}
 }

@@ -13,10 +13,12 @@ type Precision uint8
 
 const (
 	// Float32 is the reference backend: the blocked float32 GEMM and
-	// per-sample GEMV the repo has shipped since the plan layer landed.
-	// Results are bit-identical to the seed Runner path for any worker
-	// count — the compatibility gate every other backend is measured
-	// against.
+	// per-sample GEMV the repo has shipped since the plan layer landed,
+	// with FC layers of at least 1 MiB of weights computing the whole
+	// batch in one tensor.GemvBatch tile that forms every sample's sums
+	// exactly as the per-sample GEMV does. Results are bit-identical to
+	// the seed Runner path for any worker count — the compatibility
+	// gate every other backend is measured against.
 	Float32 Precision = iota
 
 	// Float32Packed routes conv and FC through the panel-packed float32

@@ -570,6 +570,16 @@ func (a *app) aggregate(batchCh chan<- []*request, closing <-chan struct{}) {
 		instances += req.instances
 	}
 	for {
+		// Drain first once closing is closed. The select below picks at
+		// random among ready cases, so without this check a worker freed
+		// after Close could take a hand-off, and a straggler admitted
+		// next would then run as a batch instead of being drained.
+		select {
+		case <-closing:
+			a.drain(batchCh, pending)
+			return
+		default:
+		}
 		// A nil channel never becomes ready: in is nil while the batch is
 		// at its cap, out while nothing is pending.
 		var in <-chan *request
@@ -582,34 +592,38 @@ func (a *app) aggregate(batchCh chan<- []*request, closing <-chan struct{}) {
 		}
 		select {
 		case <-closing:
-			// Graceful drain: the batch under assembly still runs, but
-			// stragglers waiting in the queue fail immediately. The
-			// enqueue gate is already closed, so this drain sees every
-			// request that will ever be on reqCh.
-			if len(pending) > 0 {
-				batchCh <- pending
-			}
-			for {
-				select {
-				case req := <-a.reqCh:
-					// Dropped regardless of the respond race: an
-					// abandoned caller has claimed the response slot
-					// already, but the admitted instances still leave
-					// the pipeline here.
-					if a.ctrl != nil {
-						a.ctrl.Dropped(req.instances)
-					}
-					if req.claim() {
-						req.deliver(result{err: fmt.Errorf("%w: %s drained before execution", ErrShuttingDown, a.name)})
-					}
-				default:
-					return
-				}
-			}
+			a.drain(batchCh, pending)
+			return
 		case req := <-in:
 			admit(req)
 		case out <- pending:
 			pending, instances = nil, 0
+		}
+	}
+}
+
+// drain is the aggregator's graceful exit: the batch under assembly
+// still runs, but stragglers waiting in the queue fail immediately. The
+// enqueue gate is already closed, so this drain sees every request that
+// will ever be on reqCh.
+func (a *app) drain(batchCh chan<- []*request, pending []*request) {
+	if len(pending) > 0 {
+		batchCh <- pending
+	}
+	for {
+		select {
+		case req := <-a.reqCh:
+			// Dropped regardless of the respond race: an abandoned caller
+			// has claimed the response slot already, but the admitted
+			// instances still leave the pipeline here.
+			if a.ctrl != nil {
+				a.ctrl.Dropped(req.instances)
+			}
+			if req.claim() {
+				req.deliver(result{err: fmt.Errorf("%w: %s drained before execution", ErrShuttingDown, a.name)})
+			}
+		default:
+			return
 		}
 	}
 }

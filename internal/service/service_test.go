@@ -143,6 +143,39 @@ func TestEndToEndInference(t *testing.T) {
 	}
 }
 
+// TestHostileQueryDoesNotPoisonLaterQueries: one query whose values
+// overflow to ±Inf leaves non-finite activations in the plan it ran
+// on. With one worker the next queries reuse that plan, and over DJRT
+// each must still get the reference output bit for bit, not NaN.
+func TestHostileQueryDoesNotPoisonLaterQueries(t *testing.T) {
+	_, addr := startServer(t, AppConfig{BatchInstances: 4, Workers: 1})
+	c, err := Dial(addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	hostile := make([]float32, 8)
+	for i := range hostile {
+		hostile[i] = 3e38
+	}
+	if _, err := c.Infer("tiny", hostile); err != nil {
+		t.Fatalf("hostile query: %v", err)
+	}
+	in := []float32{1, 0, -1, 2, 0.5, 0, 0, 1}
+	want := refOutput(t, in)
+	for q := 0; q < 3; q++ {
+		out, err := c.Infer("tiny", in)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := range want {
+			if math.Float32bits(out[i]) != math.Float32bits(want[i]) {
+				t.Fatalf("query %d after the hostile one: %v, want %v", q, out, want)
+			}
+		}
+	}
+}
+
 func TestMultiInstanceQuery(t *testing.T) {
 	// One query carrying 3 instances (like ASR's 548 frames) must
 	// return 3 stacked probability vectors.

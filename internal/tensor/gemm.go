@@ -142,7 +142,12 @@ func GemmNaive(m, n, k int, alpha float32, a, b []float32, beta float32, c []flo
 	}
 }
 
-// Gemv computes y = alpha*A*x + beta*y where A is m×n row-major.
+// Gemv computes y = alpha*A*x + beta*y where A is m×n row-major. With
+// beta == 0, y is only written, as in Gemm: a stale Inf or NaN left in
+// a reused buffer must not turn into 0·Inf = NaN in the result. Each
+// product is rounded to float32 before it is added (the conversions
+// forbid a fused multiply-add), so the sums are the same on every
+// architecture and match GemvBatch's tile bit for bit.
 func Gemv(m, n int, alpha float32, a, x []float32, beta float32, y []float32) {
 	if len(a) < m*n || len(x) < n || len(y) < m {
 		panic(fmt.Sprintf("tensor: gemv buffer too small for m=%d n=%d", m, n))
@@ -152,12 +157,16 @@ func Gemv(m, n int, alpha float32, a, x []float32, beta float32, y []float32) {
 		var sum float32
 		j := 0
 		for ; j+4 <= n; j += 4 {
-			sum += row[j]*x[j] + row[j+1]*x[j+1] + row[j+2]*x[j+2] + row[j+3]*x[j+3]
+			sum += float32(row[j]*x[j]) + float32(row[j+1]*x[j+1]) + float32(row[j+2]*x[j+2]) + float32(row[j+3]*x[j+3])
 		}
 		for ; j < n; j++ {
-			sum += row[j] * x[j]
+			sum += float32(row[j] * x[j])
 		}
-		y[i] = alpha*sum + beta*y[i]
+		if beta == 0 {
+			y[i] = alpha * sum
+		} else {
+			y[i] = alpha*sum + beta*y[i]
+		}
 	}
 }
 
