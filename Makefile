@@ -10,16 +10,18 @@ BENCH_PKGS  ?= ./internal/tensor/... ./internal/nn/... ./internal/models/...
 
 .PHONY: check vet build cross test purego race results bench bench-all benchcmp benchab models gateway
 
-# check runs everything CI should gate on: vet, a full build, the full
-# test suite (tier-1), and race-detector runs for the concurrency-heavy
-# packages (the serving path, the scheduler, the multi-backend router,
-# the load drivers, their metrics, and the engine's parallel GEMM /
-# shared-plan paths). race first repeats the aggregator hand-off,
-# admission and plan tests twenty times on one and on four procs: they
-# hold the batching rule's orderings and plan growth under concurrent
-# checkouts, which a single pass can get right by luck. results then
-# regenerates the paper's evaluation and compares it with RESULTS.txt.
-check: vet build cross test race results
+# check runs everything CI should gate on: vet, a full build, the
+# cross builds, the full test suite (tier-1), the kernel packages again
+# without assembly (purego), and race-detector runs for the
+# concurrency-heavy packages (the serving path, the scheduler, the
+# multi-backend router, the load drivers, their metrics, and the
+# engine's parallel GEMM / shared-plan paths). race first repeats the
+# aggregator hand-off, admission and plan tests twenty times on one and
+# on four procs: they hold the batching rule's orderings and plan growth
+# under concurrent checkouts, which a single pass can get right by luck.
+# results then regenerates the paper's evaluation and compares it with
+# RESULTS.txt.
+check: vet build cross test purego race results
 
 # vet is static analysis plus a formatting gate: gofmt -l prints the
 # files that need reformatting, so any output fails the target.

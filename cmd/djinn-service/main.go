@@ -4,15 +4,15 @@
 //
 // Usage:
 //
-//	djinn-service [-addr :7420] [-apps DIG,POS,NER | -apps all] [-precision float32|float32-packed|int8] [-replicas 1] [-stats 10s] [-admin :7421]
+//	djinn-service [-addr :7420] [-apps DIG,POS,NER | -apps all] [-precision float32|int8] [-replicas 1] [-stats 10s] [-admin :7421]
 //	djinn-service -export-models dir/ [-apps all] [-model-version 1] [-quantize]
 //	djinn-service -verify-models dir/
 //	djinn-service -models dir/ [-model-budget 268435456]
 //
 // -precision selects the kernel backend every registered app's plan
-// pool compiles against: float32 is the reference path, float32-packed
-// the panel kernels (bit-identical outputs), int8 the quantized path
-// (inspect with `tonic precision`).
+// pool compiles against: float32 is the reference path, int8 the
+// quantized path (inspect with `tonic precision`). Any other name exits
+// with status 2 before an app is registered.
 //
 // -export-models writes the selected apps' weights as versioned .djw
 // files (one-time export; the files round-trip bit-identically);
@@ -81,7 +81,7 @@ func main() {
 	controlPlane := flag.Bool("controlplane", false, "run the replicas as one managed fleet: a placement-aware front end serves -addr, a controller places apps, autoscales, and routes around dead replicas (use with -replicas N)")
 	cpCount := flag.Int("controlplane-count", 2, "replicas the control plane keeps each app on (clamped to -replicas)")
 	cpInterval := flag.Duration("controlplane-interval", 500*time.Millisecond, "control-loop tick interval (health scan, autoscale, reconcile)")
-	precision := flag.String("precision", "float32", "kernel precision for registered apps: float32 (reference), float32-packed (panel kernels, bit-identical), int8 (quantized, ~99% top-1 agreement)")
+	precision := flag.String("precision", "float32", "kernel precision for registered apps: float32 (reference) or int8 (quantized, ~99% top-1 agreement)")
 	exportDir := flag.String("export-models", "", "export the selected apps' weights as versioned .djw files into this directory and exit")
 	quantize := flag.Bool("quantize", false, "with -export-models: embed int8 quantized weight sections (version-2 .djw), so int8 serving pays no quantization at load")
 	verifyDir := flag.String("verify-models", "", "verify every .djw file in this directory (checksums + manifest) and exit")

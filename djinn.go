@@ -90,18 +90,17 @@ type SchedInfo = sched.Info
 // compile against (AppConfig.Precision, nn.CompileOpts.Precision).
 type Precision = nn.Precision
 
-// The kernel precisions: the reference float32 path, the panel-packing
-// float32 kernels (bit-identical outputs, better cache behaviour), and
-// the quantized int8 path (dynamic activation scales, int32
-// accumulation, ~99%+ top-1 agreement with float32).
+// The kernel precisions: the reference float32 path and the quantized
+// int8 path (dynamic activation scales, int32 accumulation, ~99%+ top-1
+// agreement with float32).
 const (
-	Float32       = nn.Float32
-	Float32Packed = nn.Float32Packed
-	Int8          = nn.Int8
+	Float32 = nn.Float32
+	Int8    = nn.Int8
 )
 
-// ParsePrecision converts "float32"/"fp32", "float32-packed"/"packed",
-// "int8"/"quant" to a Precision.
+// ParsePrecision converts "float32"/"fp32"/"f32" (or "") and
+// "int8"/"quant" to a Precision; any other name, "float32-packed"
+// included, is an error.
 func ParsePrecision(s string) (Precision, error) { return nn.ParsePrecision(s) }
 
 // Client is a TCP client for a remote DjiNN server.

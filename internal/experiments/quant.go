@@ -11,9 +11,8 @@ import (
 )
 
 // The quant experiment measures the precision-pluggable kernel layer:
-// the same compiled plan run at each of the three precisions —
-// float32 (reference blocked GEMM), float32-packed (cache-blocked
-// panel kernels), and int8 (symmetric weight quantization at compile
+// the same compiled plan run at both precisions — float32 (the
+// reference kernels) and int8 (symmetric weight quantization at compile
 // time, int32 accumulation, dequantize fused into the bias+ReLU
 // epilogue). Throughput is instances/sec through Plan.Forward; the
 // accuracy column is top-1 agreement between the int8 and float32
@@ -63,16 +62,12 @@ type QuantCell struct {
 	App   string `json:"app"`
 	Batch int    `json:"batch"`
 
-	F32QPS    float64 `json:"f32_qps"`    // instances/sec, float32 reference plan
-	PackedQPS float64 `json:"packed_qps"` // instances/sec, float32-packed plan
-	Int8QPS   float64 `json:"int8_qps"`   // instances/sec, int8 plan
+	F32QPS      float64 `json:"f32_qps"`      // instances/sec, float32 reference plan
+	Int8QPS     float64 `json:"int8_qps"`     // instances/sec, int8 plan
+	Int8Speedup float64 `json:"int8_speedup"` // Int8QPS / F32QPS
 
-	PackedSpeedup float64 `json:"packed_speedup"` // PackedQPS / F32QPS
-	Int8Speedup   float64 `json:"int8_speedup"`   // Int8QPS / F32QPS
-
-	F32Allocs    float64 `json:"f32_allocs"` // heap allocations per forward call
-	PackedAllocs float64 `json:"packed_allocs"`
-	Int8Allocs   float64 `json:"int8_allocs"`
+	F32Allocs  float64 `json:"f32_allocs"` // heap allocations per forward call
+	Int8Allocs float64 `json:"int8_allocs"`
 
 	// Agreement is raw int8-vs-float32 top-1 agreement. On untrained
 	// random weights, deep many-class nets emit near-uniform outputs, so
@@ -108,7 +103,7 @@ func top2(row []float32) (int, float32) {
 	return best, row[best] - row[second]
 }
 
-// QuantSweep compiles each application's network at all three
+// QuantSweep compiles each application's network at both
 // precisions and measures throughput, allocations and int8 top-1
 // agreement against the float32 reference.
 func QuantSweep(cfg QuantConfig) []QuantCell {
@@ -120,7 +115,6 @@ func QuantSweep(cfg QuantConfig) []QuantCell {
 		rng := tensor.NewRNG(uint64(31*int(app) + cfg.Batch))
 
 		f32 := net.CompileOpts(cfg.Batch, nn.CompileOpts{Workers: cfg.Workers})
-		packed := net.CompileOpts(cfg.Batch, nn.CompileOpts{Workers: cfg.Workers, Precision: nn.Float32Packed})
 		quant := net.CompileOpts(cfg.Batch, nn.CompileOpts{Workers: cfg.Workers, Precision: nn.Int8})
 
 		cell := QuantCell{App: app.String(), Batch: cfg.Batch}
@@ -160,16 +154,12 @@ func QuantSweep(cfg QuantConfig) []QuantCell {
 
 		rng.FillNorm(in.Data(), 0, 1)
 		f32FPS, f32Allocs := measure(cfg.MinTime, cfg.MinIters, func() { f32.Forward(in) })
-		packedFPS, packedAllocs := measure(cfg.MinTime, cfg.MinIters, func() { packed.Forward(in) })
 		int8FPS, int8Allocs := measure(cfg.MinTime, cfg.MinIters, func() { quant.Forward(in) })
 
 		cell.F32QPS = f32FPS * float64(cfg.Batch)
-		cell.PackedQPS = packedFPS * float64(cfg.Batch)
 		cell.Int8QPS = int8FPS * float64(cfg.Batch)
-		cell.PackedSpeedup = cell.PackedQPS / cell.F32QPS
 		cell.Int8Speedup = cell.Int8QPS / cell.F32QPS
 		cell.F32Allocs = f32Allocs
-		cell.PackedAllocs = packedAllocs
 		cell.Int8Allocs = int8Allocs
 		cells = append(cells, cell)
 	}
@@ -210,22 +200,20 @@ func RenderQuant() string {
 func RenderQuantCells(cells []QuantCell) string {
 	t := &table{header: []string{
 		"app", "batch",
-		"f32 q/s", "packed q/s", "int8 q/s",
-		"packed x", "int8 x",
-		"allocs f32/packed/int8",
+		"f32 q/s", "int8 q/s", "int8 x",
+		"allocs f32/int8",
 		"top-1 agree", "decisive", "max |err|", "n",
 	}}
 	for _, c := range cells {
 		t.add(c.App, fmt.Sprintf("%d", c.Batch),
-			f1(c.F32QPS), f1(c.PackedQPS), f1(c.Int8QPS),
-			f2(c.PackedSpeedup), f2(c.Int8Speedup),
-			fmt.Sprintf("%s/%s/%s", f1(c.F32Allocs), f1(c.PackedAllocs), f1(c.Int8Allocs)),
+			f1(c.F32QPS), f1(c.Int8QPS), f2(c.Int8Speedup),
+			fmt.Sprintf("%s/%s", f1(c.F32Allocs), f1(c.Int8Allocs)),
 			f3(c.Agreement), f3(c.DecisiveAgreement),
 			fmt.Sprintf("%.1e", c.MaxAbsErr),
 			fmt.Sprintf("%d/%d", c.DecisiveCompared, c.Compared))
 	}
 	return fmt.Sprintf(
-		"Quant: precision-pluggable plans, float32 reference vs panel-packed vs int8 (GOMAXPROCS=%d)\n"+
+		"Quant: precision-pluggable plans, float32 reference vs int8 (GOMAXPROCS=%d)\n"+
 			"int8: symmetric weight scales fixed at compile time, dynamic activation scales,\n"+
 			"int32 accumulation, dequantize fused into the bias+ReLU epilogue.\n"+
 			"\"decisive\" excludes instances whose float32 top-1/top-2 margin is under 1e-5 —\n"+

@@ -7,24 +7,21 @@ import (
 	"djinn/internal/tensor"
 )
 
-// This file is the precision seam between the layer zoo and the kernel
-// backends in internal/tensor. A plan compiled at a non-reference
-// Precision installs an exec closure on each conv/FC step; Run routes
-// through it instead of the layer's Forward. Everything a closure needs
-// beyond its inputs — packed weight panels, quantized weights with their
-// zero-point sums, per-call packing scratch — is either cached on the
-// layer (weight-derived, shared by every plan over the Net) or owned by
-// the plan (activation-derived, private per plan), so the steady-state
-// forward pass stays allocation-free.
+// This file is the precision seam between the layer zoo and the int8
+// kernels in internal/tensor. A plan compiled at Int8 installs an exec
+// closure on each conv/FC step; Run routes through it instead of the
+// layer's Forward. Everything a closure needs beyond its inputs —
+// quantized weights with their zero-point sums, per-call packing
+// scratch — is either cached on the layer (weight-derived, shared by
+// every plan over the Net) or owned by the plan (activation-derived,
+// private per plan), so the steady-state forward pass stays
+// allocation-free.
 
-// fcKernelCache holds the weight-derived operands of the FC backends.
+// fcKernelCache holds the weight-derived operands of the int8 FC kernel.
 // They depend only on the layer's (frozen, inference-time) weights, so
 // they are built once under sync.Once and shared by all plans — the same
 // load-once economics as the weights themselves.
 type fcKernelCache struct {
-	packedOnce sync.Once
-	packed     []float32 // W^T in K×NR panels (PackBT), k=In, n=Out
-
 	int8Once sync.Once
 	int8BP   []uint8 // quantized W^T panels, offset encoding
 	int8Col  []int32 // per-output-column signed weight sums
@@ -32,26 +29,13 @@ type fcKernelCache struct {
 }
 
 // convKernelCache holds the quantized weight form of a convolution: the
-// per-group filter matrices packed as int8 lane-pair A operands. The
-// float32-packed backend needs no weight cache — GemmPacked reads A
-// unpacked and tiles it on the fly.
+// per-group filter matrices packed as int8 lane-pair A operands.
 type convKernelCache struct {
 	int8Once sync.Once
 	int8PA   []uint64 // Groups × paStride lane-pair words
 	int8Row  []int32  // per-output-channel signed weight sums (len OutC)
 	int8W    float32  // weight scale
 	paStride int      // PackedAInt8Len(gOutC, kTaps)
-}
-
-// packedWeights returns the layer's FC weight matrix packed for the
-// float32 panel kernel, building it on first use.
-func (f *FC) packedWeights() []float32 {
-	f.kern.packedOnce.Do(func() {
-		bp := make([]float32, tensor.PackedBLen(f.In, f.Out))
-		tensor.PackBT(f.In, f.Out, f.Weight.W.Data(), bp)
-		f.kern.packed = bp
-	})
-	return f.kern.packed
 }
 
 // quantWeight quantizes a weight parameter, honouring a pre-quantized
@@ -141,38 +125,30 @@ func (n *Net) CheckPrecision(prec Precision) error {
 	return nil
 }
 
-// buildBackend sizes the plan's packing scratch and installs exec
-// closures on every conv/FC step for a non-reference precision. Weight
-// caches are resolved here, at Compile time, so the first Run pays
-// nothing extra.
-func (p *Plan) buildBackend(prec Precision) {
-	if err := p.net.CheckPrecision(prec); err != nil {
+// buildBackend sizes the plan's int8 packing scratch and installs the
+// int8 exec closure on every conv/FC step. Weight caches are resolved
+// here, at Compile time, so the first Run pays nothing extra.
+func (p *Plan) buildBackend() {
+	if err := p.net.CheckPrecision(Int8); err != nil {
 		panic("nn: Compile: " + err.Error())
 	}
 	// Activation-derived scratch, sized over all routed layers up front:
-	// conv scratch is per sample; the int8 FC scratch is per batch, so
-	// only its row length is fixed here and reserve sizes it.
-	var packedB, int8B, int8BCols, fcIn int
+	// conv scratch is per sample; the FC scratch is per batch, so only
+	// its row length is fixed here and reserve sizes it.
+	var bLen, bCols int
 	for i, l := range p.net.layers {
 		switch t := l.(type) {
 		case *Conv:
 			kTaps := (t.InC / t.Groups) * t.KernelH * t.KernelW
 			outSpatial := p.net.shapes[i][1] * p.net.shapes[i][2]
-			packedB = maxInt(packedB, tensor.PackedBLen(kTaps, outSpatial))
-			int8B = maxInt(int8B, tensor.PackedBInt8Len(kTaps, outSpatial))
-			int8BCols = maxInt(int8BCols, outSpatial)
+			bLen = max(bLen, tensor.PackedBInt8Len(kTaps, outSpatial))
+			bCols = max(bCols, outSpatial)
 		case *FC:
-			fcIn = maxInt(fcIn, t.In)
+			p.qAK = max(p.qAK, t.In)
 		}
 	}
-	switch prec {
-	case Float32Packed:
-		p.packB = make([]float32, packedB)
-	case Int8:
-		p.qB = make([]uint8, int8B)
-		p.qBSum = make([]int32, int8BCols)
-		p.qAK = fcIn
-	}
+	p.qB = make([]uint8, bLen)
+	p.qBSum = make([]int32, bCols)
 
 	for i := range p.steps {
 		st := &p.steps[i]
@@ -182,34 +158,10 @@ func (p *Plan) buildBackend(prec Precision) {
 		fuse := st.fuse != nil
 		switch l := st.layer.(type) {
 		case *FC:
-			if prec == Int8 {
-				st.exec = l.int8Exec(p, fuse)
-			} else {
-				st.exec = l.packedExec(p, fuse)
-			}
+			st.exec = l.int8Exec(p, fuse)
 		case *Conv:
-			if prec == Int8 {
-				st.exec = l.int8Exec(p, fuse)
-			} else {
-				st.exec = l.packedExec(p, fuse)
-			}
+			st.exec = l.int8Exec(p, fuse)
 		}
-	}
-}
-
-// packedExec builds the float32 panel-kernel step for an FC layer:
-// out [B,Out] = in [B,In] × packed(W^T), bias (and the fused ReLU) in
-// the store epilogue. The weight panels are packed once per layer.
-func (f *FC) packedExec(p *Plan, fuse bool) func(in, out *tensor.Tensor) {
-	bp := f.packedWeights()
-	ep := tensor.EpBiasCol
-	if fuse {
-		ep = tensor.EpBiasColReLU
-	}
-	return func(in, out *tensor.Tensor) {
-		batch := in.Dim(0)
-		tensor.GemmPackedParallel(p.ctx.workers(), batch, f.Out, f.In,
-			in.Data()[:batch*f.In], bp, out.Data()[:batch*f.Out], ep, f.Bias.W.Data())
 	}
 }
 
@@ -233,49 +185,6 @@ func (f *FC) int8Exec(p *Plan, fuse bool) func(in, out *tensor.Tensor) {
 		tensor.GemmPackedInt8Parallel(p.ctx.workers(), batch, f.Out, f.In,
 			pa, rowSum, kc.int8BP, kc.int8Col, out.Data()[:batch*f.Out],
 			scaleA*kc.int8W, ep, f.Bias.W.Data())
-	}
-}
-
-// packedExec builds the float32 panel-kernel step for a convolution:
-// per sample and group, im2col into the shared column scratch, pack the
-// columns into the plan's panel scratch, and run the packed kernel with
-// the group's bias rows (and fused ReLU) in the epilogue. Outputs are
-// bit-identical to the reference path — the packed kernel accumulates in
-// the same ascending-k order as the blocked GEMM.
-func (c *Conv) packedExec(p *Plan, fuse bool) func(in, out *tensor.Tensor) {
-	ep := tensor.EpBiasRow
-	if fuse {
-		ep = tensor.EpBiasRowReLU
-	}
-	return func(in, out *tensor.Tensor) {
-		batch := in.Dim(0)
-		inShape := in.Shape()[1:]
-		g := c.geom(inShape)
-		outSpatial := g.OutH() * g.OutW()
-		gInC := c.InC / c.Groups
-		gOutC := c.OutC / c.Groups
-		kTaps := gInC * c.KernelH * c.KernelW
-		groupGeom := g
-		groupGeom.Channels = gInC
-		col := p.ctx.scratch(kTaps * outSpatial)
-		bp := p.packB[:tensor.PackedBLen(kTaps, outSpatial)]
-		w := c.Weight.W.Data()
-		bias := c.Bias.W.Data()
-		inData, outData := in.Data(), out.Data()
-		inPer, outPer := sampleElems(inShape), c.OutC*outSpatial
-		workers := p.ctx.workers()
-		for b := 0; b < batch; b++ {
-			img := inData[b*inPer : (b+1)*inPer]
-			dst := outData[b*outPer : (b+1)*outPer]
-			for grp := 0; grp < c.Groups; grp++ {
-				tensor.Im2col(groupGeom, img[grp*gInC*g.Height*g.Width:(grp+1)*gInC*g.Height*g.Width], col)
-				tensor.PackB(kTaps, outSpatial, col, bp)
-				tensor.GemmPackedParallel(workers, gOutC, outSpatial, kTaps,
-					w[grp*gOutC*kTaps:(grp+1)*gOutC*kTaps], bp,
-					dst[grp*gOutC*outSpatial:(grp+1)*gOutC*outSpatial],
-					ep, bias[grp*gOutC:(grp+1)*gOutC])
-			}
-		}
 	}
 }
 

@@ -118,8 +118,10 @@ func (k Kernel) Bytes() float64 { return k.BytesIn + k.BytesOut }
 // read-only weights) can be executed concurrently from many workers,
 // mirroring DjiNN's shared in-memory model design.
 type Ctx struct {
-	col   []float32   // im2col scratch
-	pan   []float32   // large FC layers' batch panels (tensor.GemvBatch)
+	// col is the one scratch buffer the layers share: conv columns in
+	// panels, the large FC layers' batch panels (tensor.GemvBatch), int8
+	// conv columns, locally-connected patches. No layer needs two at once.
+	col   []float32
 	rng   *tensor.RNG // dropout masks during training
 	Train bool        // enables dropout
 	// Workers is the intra-op parallelism knob: GEMM-backed layers
@@ -135,20 +137,13 @@ func NewCtx(seed uint64) *Ctx {
 	return &Ctx{rng: tensor.NewRNG(seed)}
 }
 
+// scratch returns n floats of the shared scratch buffer, growing it
+// only when it is too small.
 func (c *Ctx) scratch(n int) []float32 {
 	if cap(c.col) < n {
 		c.col = make([]float32, n)
 	}
 	return c.col[:n]
-}
-
-// panels returns n floats of the large FC layers' panel scratch,
-// growing it only when it is too small.
-func (c *Ctx) panels(n int) []float32 {
-	if cap(c.pan) < n {
-		c.pan = make([]float32, n)
-	}
-	return c.pan[:n]
 }
 
 // workers returns the effective intra-op worker count (at least 1).

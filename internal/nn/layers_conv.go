@@ -8,9 +8,10 @@ import (
 
 // Conv is a 2-D convolution layer over NCHW inputs, implemented as
 // im2col followed by GEMM per image, exactly the lowering Caffe uses on
-// both CPU (ATLAS) and GPU (cuBLAS). Groups splits input and output
-// channels into independent convolution groups (AlexNet uses groups=2
-// for its conv2/4/5 layers).
+// both CPU (ATLAS) and GPU (cuBLAS); the columns are written straight
+// into the panel layout of the packed kernel (tensor.Im2colPanels).
+// Groups splits input and output channels into independent convolution
+// groups (AlexNet uses groups=2 for its conv2/4/5 layers).
 type Conv struct {
 	name             string
 	InC, OutC        int
@@ -104,31 +105,31 @@ func (c *Conv) forward(ctx *Ctx, in, out *tensor.Tensor, fuseReLU bool) {
 	batch := in.Dim(0)
 	inShape := in.Shape()[1:]
 	g := c.geom(inShape)
-	outH, outW := g.OutH(), g.OutW()
-	outSpatial := outH * outW
+	outSpatial := g.OutH() * g.OutW()
 	gInC := c.InC / c.Groups
 	gOutC := c.OutC / c.Groups
 	kTaps := gInC * c.KernelH * c.KernelW
 	groupGeom := g
 	groupGeom.Channels = gInC
-	col := ctx.scratch(kTaps * outSpatial)
-	w := c.Weight.W.Data()
+	ep := tensor.EpBiasRow
+	if fuseReLU {
+		ep = tensor.EpBiasRowReLU
+	}
+	bp := ctx.scratch(tensor.PackedBLen(kTaps, outSpatial))
+	w, bias := c.Weight.W.Data(), c.Bias.W.Data()
 	inData, outData := in.Data(), out.Data()
 	inPer, outPer := sampleElems(inShape), c.OutC*outSpatial
 	for b := 0; b < batch; b++ {
 		img := inData[b*inPer : (b+1)*inPer]
 		dst := outData[b*outPer : (b+1)*outPer]
 		for grp := 0; grp < c.Groups; grp++ {
-			tensor.Im2col(groupGeom, img[grp*gInC*g.Height*g.Width:(grp+1)*gInC*g.Height*g.Width], col)
-			// Filter matrix [gOutC, kTaps] × col [kTaps, outSpatial].
-			tensor.GemmParallel(ctx.workers(), gOutC, outSpatial, kTaps, 1,
-				w[grp*gOutC*kTaps:(grp+1)*gOutC*kTaps], col,
-				0, dst[grp*gOutC*outSpatial:(grp+1)*gOutC*outSpatial])
-		}
-		if fuseReLU {
-			tensor.AddBiasRowsReLU(c.OutC, outSpatial, dst, c.Bias.W.Data())
-		} else {
-			tensor.AddBiasRows(c.OutC, outSpatial, dst, c.Bias.W.Data())
+			tensor.Im2colPanels(groupGeom, img[grp*gInC*g.Height*g.Width:(grp+1)*gInC*g.Height*g.Width], bp)
+			// Filter matrix [gOutC, kTaps] × columns [kTaps, outSpatial],
+			// the group's bias rows (and the fused ReLU) in the store.
+			tensor.GemmPackedParallel(ctx.workers(), gOutC, outSpatial, kTaps,
+				w[grp*gOutC*kTaps:(grp+1)*gOutC*kTaps], bp,
+				dst[grp*gOutC*outSpatial:(grp+1)*gOutC*outSpatial],
+				ep, bias[grp*gOutC:(grp+1)*gOutC])
 		}
 	}
 }

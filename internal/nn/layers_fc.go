@@ -16,7 +16,7 @@ type FC struct {
 	Weight  *Param // [Out, In]
 	Bias    *Param // [Out]
 
-	kern fcKernelCache // lazily built packed/quantized weight forms
+	kern fcKernelCache // lazily built quantized weight form
 }
 
 // NewFC creates a fully-connected layer with Xavier-initialised weights.
@@ -89,7 +89,7 @@ func (f *FC) forward(ctx *Ctx, in, out *tensor.Tensor, fuseReLU bool) {
 	inD, outD := in.Data(), out.Data()
 	switch workers := ctx.workers(); {
 	case f.tiled():
-		tensor.GemvBatch(workers, f.Out, f.In, batch, w, inD, outD, ctx.panels(tensor.PanelLen(batch, f.In)))
+		tensor.GemvBatch(workers, f.Out, f.In, batch, w, inD, outD, ctx.scratch(tensor.PanelLen(batch, f.In)))
 	case workers <= 1:
 		// Serial fast path: no closure, no goroutines, zero allocations.
 		for b := 0; b < batch; b++ {

@@ -9,14 +9,14 @@ import (
 
 // Plan is a compile-once execution plan for one Net. Compile fixes the
 // plan's wiring — step marking, fusion, arena slot assignment and the
-// per-sample size of every slot, im2col scratch — and the batch-sized
-// state (arenas, per-batch activation views, FC panel and int8 FC
-// scratch) is built for the largest batch run so far, its high-water
-// batch. A call with a larger batch regrows that state to max(batch,
-// min(2×hw, maxBatch)), so a plan allocates it at most ⌈log₂ maxBatch⌉+1
-// times, holds only what its traffic touches, and performs zero heap
-// allocations at any batch up to its high-water mark. The plan also
-// rewires execution for inference:
+// per-sample size of every slot, the shared scratch — and the
+// batch-sized state (arenas, per-batch activation views, int8 FC
+// scratch, the FC tile's share of the shared scratch) is built for the
+// largest batch run so far, its high-water batch. A call with a larger
+// batch regrows that state to max(batch, min(2×hw, maxBatch)), so a plan
+// allocates it at most ⌈log₂ maxBatch⌉+1 times, holds only what its
+// traffic touches, and performs zero heap allocations at any batch up to
+// its high-water mark. The plan also rewires execution for inference:
 //
 //   - Elementwise layers (ReLU, sigmoid, tanh, hardtanh, dropout,
 //     softmax) run in place over their input buffer, and the remaining
@@ -55,25 +55,24 @@ type Plan struct {
 	arenas [][]float32        // slot 0 is the input arena
 	views  [][]*tensor.Tensor // views[i][b-1]: activation i as a [b,...] tensor
 
-	// Packing scratch owned by the plan, sized at Compile by
-	// buildBackend; nil at the reference precision. Weight-derived packed
-	// operands live on the layers instead (see backend.go).
-	packB []float32 // Float32Packed: im2col columns in K×NR panels
-	qB    []uint8   // Int8: quantized im2col columns, offset panels
-	qBSum []int32   // Int8: per-column signed sums for the B scratch
-	qAK   int       // Int8: widest FC fan-in, the row length of qA
-	qA    []uint64  // Int8: quantized FC activations, lane pairs (hw rows)
-	qASum []int32   // Int8: per-row signed sums for the A scratch
-	fcK   int       // Float32: widest tiled FC fan-in, sizing ctx's panels
+	// Int8 packing scratch owned by the plan, sized at Compile by
+	// buildBackend; nil at Float32. Weight-derived quantized operands
+	// live on the layers instead (see backend.go).
+	qB    []uint8  // Int8: quantized im2col columns, offset panels
+	qBSum []int32  // Int8: per-column signed sums for the B scratch
+	qAK   int      // Int8: widest FC fan-in, the row length of qA
+	qA    []uint64 // Int8: quantized FC activations, lane pairs (hw rows)
+	qASum []int32  // Int8: per-row signed sums for the A scratch
+	fcK   int      // Float32: widest tiled FC fan-in, sizing ctx's scratch
 }
 
 type planStep struct {
 	layer Layer
 	fuse  fusedBiasReLU // non-nil: forward runs with the next ReLU fused in
 	skip  bool          // output already produced by a fused predecessor
-	// exec, when non-nil, runs the step through a precision backend
-	// (packed float32 or int8 kernels) instead of layer.Forward; it
-	// already honours fuse. Installed by buildBackend.
+	// exec, when non-nil, runs the step through the int8 kernels
+	// instead of layer.Forward; it already honours fuse. Installed by
+	// buildBackend.
 	exec func(in, out *tensor.Tensor)
 }
 
@@ -90,7 +89,7 @@ type CompileOpts struct {
 	// zero value (Float32) is the reference path, bit-identical to the
 	// seed. Retain-mode plans always compile at Float32 — Backward reads
 	// float32 weights and the training path never routes through the
-	// packed kernels.
+	// int8 kernels.
 	Precision Precision
 }
 
@@ -163,33 +162,32 @@ func (n *Net) CompileOpts(maxBatch int, o CompileOpts) *Plan {
 		p.slotElems[s] = max(p.slotElems[s], sampleElems(p.shapes[i]))
 	}
 
-	// Size the shared im2col/patch scratch up front so no layer grows it
-	// at run time. Custom layers outside the zoo still grow it lazily.
+	// Size the shared scratch for conv columns and locally-connected
+	// patches up front so no layer grows it at run time; reserve grows it
+	// for the FC tile's batch panels. A conv's float32 panels
+	// (PackedBLen) also hold the int8 path's kTaps×outSpatial column
+	// matrix. Custom layers outside the zoo still grow it lazily.
 	scratch := 0
 	for i, l := range n.layers {
 		switch t := l.(type) {
 		case *Conv:
 			kTaps := (t.InC / t.Groups) * t.KernelH * t.KernelW
 			outSpatial := p.shapes[i+1][1] * p.shapes[i+1][2]
-			if need := kTaps * outSpatial; need > scratch {
-				scratch = need
-			}
+			scratch = max(scratch, tensor.PackedBLen(kTaps, outSpatial))
 		case *Local:
-			if need := t.InC * t.Kernel * t.Kernel; need > scratch {
-				scratch = need
-			}
+			scratch = max(scratch, t.InC*t.Kernel*t.Kernel)
 		}
 	}
 	if scratch > 0 {
 		p.ctx.scratch(scratch)
 	}
 
-	// Route conv/FC steps through the selected kernel backend. Retain
-	// compiles at the reference precision: training reads float32
-	// weights and the seed memory layout.
-	if o.Precision != Float32 && !o.Retain {
-		p.precision = o.Precision
-		p.buildBackend(o.Precision)
+	// Route conv/FC steps through the int8 kernels. Retain compiles at
+	// the reference precision: training reads float32 weights and the
+	// seed memory layout.
+	if o.Precision == Int8 && !o.Retain {
+		p.precision = Int8
+		p.buildBackend()
 	} else {
 		for _, l := range n.layers {
 			if fc, ok := l.(*FC); ok && fc.tiled() {
@@ -263,7 +261,7 @@ func (p *Plan) reserve(batch int) {
 		p.qASum = make([]int32, p.hw)
 	}
 	if p.fcK > 0 {
-		p.ctx.panels(tensor.PanelLen(p.hw, p.fcK))
+		p.ctx.scratch(tensor.PanelLen(p.hw, p.fcK))
 	}
 }
 

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/bits"
+	"runtime"
 	"sync"
 	"testing"
 
@@ -43,6 +44,23 @@ func wideFCNet(seed uint64) *Net {
 	n.Add(NewFC("fc1", rng, 301, 871)).
 		Add(NewReLU("relu1")).
 		Add(NewFC("fc2", rng, 871, 12)).
+		Add(NewSoftmax("prob"))
+	return n
+}
+
+// convTiledFCNet feeds a conv into an FC layer of at least
+// fcTileMinBytes, so one plan's shared scratch serves both: the conv's
+// column panels (PackedBLen(75, 49) = 3900 floats, more than its
+// 75·49 = 3675 column matrix) are the larger need up to batch 16, the
+// FC tile's batch panels (PanelLen(24, 196) = 4704) at batch 24.
+func convTiledFCNet(seed uint64) *Net {
+	rng := tensor.NewRNG(seed)
+	n := NewNet("conv-tiled-fc", KindCNN, 3, 7, 7)
+	n.Add(NewConv("conv1", rng, 3, 4, 5, ConvOpt{Pad: 2})).
+		Add(NewReLU("relu1")).
+		Add(NewFC("fc1", rng, 4*7*7, 1338)).
+		Add(NewReLU("relu2")).
+		Add(NewFC("fc2", rng, 1338, 10)).
 		Add(NewSoftmax("prob"))
 	return n
 }
@@ -151,7 +169,7 @@ func TestPlanActivationMemoryShrinks(t *testing.T) {
 }
 
 func TestPlanZeroAllocSteadyState(t *testing.T) {
-	for _, build := range []func(uint64) *Net{smallCNN, zooNet, wideFCNet} {
+	for _, build := range []func(uint64) *Net{smallCNN, zooNet, wideFCNet, convTiledFCNet} {
 		n := build(6)
 		plan := n.Compile(16)
 		plan.Forward(randInput(n, 5, 1)) // high-water batch 5
@@ -163,6 +181,26 @@ func TestPlanZeroAllocSteadyState(t *testing.T) {
 		}
 		if plan.hw != 5 {
 			t.Fatalf("%s: high-water batch %d after batches ≤ 5, want 5", n.Name(), plan.hw)
+		}
+		// The first Run at a reserved batch allocates nothing either:
+		// Compile and reserve size the shared scratch for every layer,
+		// so no layer grows it mid-pass. The malloc counter is
+		// process-wide, so the fewest of three fresh plans' counts is
+		// taken: a layer growing the scratch allocates in all three.
+		for _, b := range []int{1, 24} {
+			fewest := uint64(math.MaxUint64)
+			for try := 0; try < 3; try++ {
+				fresh := n.Compile(24)
+				fresh.In(b)
+				var before, after runtime.MemStats
+				runtime.ReadMemStats(&before)
+				fresh.Run(b)
+				runtime.ReadMemStats(&after)
+				fewest = min(fewest, after.Mallocs-before.Mallocs)
+			}
+			if fewest != 0 {
+				t.Fatalf("%s: first Run at batch %d made %d allocations, want 0", n.Name(), b, fewest)
+			}
 		}
 	}
 }

@@ -12,23 +12,15 @@ import "fmt"
 type Precision uint8
 
 const (
-	// Float32 is the reference backend: the blocked float32 GEMM and
-	// per-sample GEMV the repo has shipped since the plan layer landed,
-	// with FC layers of at least 1 MiB of weights computing the whole
-	// batch in one tensor.GemvBatch tile that forms every sample's sums
-	// exactly as the per-sample GEMV does. Results are bit-identical to
-	// the seed Runner path for any worker count — the compatibility
-	// gate every other backend is measured against.
+	// Float32 is the reference backend: convolutions write their im2col
+	// columns straight into K×NR panels for the packed float32 GEMM
+	// (tensor.GemmPacked, bias and fused ReLU in its store), and FC
+	// layers run a per-sample GEMV, those with at least 1 MiB of weights
+	// one tensor.GemvBatch tile for the whole batch that forms every
+	// sample's sums exactly as the per-sample GEMV does. Results are
+	// bit-identical to the seed Runner path for any worker count — the
+	// compatibility gate the int8 backend is measured against.
 	Float32 Precision = iota
-
-	// Float32Packed routes conv and FC through the panel-packed float32
-	// GEMM: B packed into K×NR panels (convolution columns per call into
-	// plan scratch, FC weights once per layer), A tiles packed into an
-	// L1-resident microkernel. Convolution outputs are bit-identical to
-	// Float32; FC outputs differ in float rounding only, because the
-	// reference FC is a per-sample GEMV with a 4-wide unrolled sum (a
-	// different association order).
-	Float32Packed
 
 	// Int8 routes conv and FC through the quantized backend: weights are
 	// quantized once per layer at Compile time (symmetric per-tensor
@@ -45,8 +37,6 @@ func (p Precision) String() string {
 	switch p {
 	case Float32:
 		return "float32"
-	case Float32Packed:
-		return "float32-packed"
 	case Int8:
 		return "int8"
 	}
@@ -60,16 +50,8 @@ func ParsePrecision(s string) (Precision, error) {
 	switch s {
 	case "", "float32", "fp32", "f32":
 		return Float32, nil
-	case "float32-packed", "packed":
-		return Float32Packed, nil
 	case "int8", "quant":
 		return Int8, nil
 	}
-	return Float32, fmt.Errorf("nn: unknown precision %q (want float32, float32-packed or int8)", s)
-}
-
-// Precisions lists every backend in display order, for experiment sweeps
-// and CLI help text.
-func Precisions() []Precision {
-	return []Precision{Float32, Float32Packed, Int8}
+	return Float32, fmt.Errorf("nn: unknown precision %q (want float32 or int8)", s)
 }

@@ -2,28 +2,14 @@ package nn
 
 import (
 	"math"
+	"strings"
 	"testing"
 
 	"djinn/internal/tensor"
 )
 
-// convNet has no FC layers, so every GEMM-backed step routes through the
-// packed kernel, whose convolution outputs are bit-identical to the
-// blocked reference.
-func convNet(seed uint64) *Net {
-	rng := tensor.NewRNG(seed)
-	n := NewNet("convnet", KindCNN, 3, 12, 12)
-	n.Add(NewConv("conv1", rng, 3, 8, 3, ConvOpt{Pad: 1})).
-		Add(NewReLU("relu1")).
-		Add(NewPool("pool1", MaxPool, 2, 2, 0)).
-		Add(NewConv("conv2", rng, 8, 6, 3, ConvOpt{Pad: 1, Groups: 2})).
-		Add(NewLRN("lrn1", 3, 0, 0, 0)).
-		Add(NewSoftmax("prob"))
-	return n
-}
-
 func TestParsePrecisionRoundTrip(t *testing.T) {
-	for _, p := range Precisions() {
+	for _, p := range []Precision{Float32, Int8} {
 		got, err := ParsePrecision(p.String())
 		if err != nil || got != p {
 			t.Fatalf("ParsePrecision(%q) = %v, %v", p.String(), got, err)
@@ -32,53 +18,111 @@ func TestParsePrecisionRoundTrip(t *testing.T) {
 	if p, err := ParsePrecision(""); err != nil || p != Float32 {
 		t.Fatalf("empty precision = %v, %v, want Float32", p, err)
 	}
-	if _, err := ParsePrecision("float16"); err == nil {
-		t.Fatal("ParsePrecision(float16) should fail")
+	for _, name := range []string{"float16", "float32-packed", "packed"} {
+		_, err := ParsePrecision(name)
+		if err == nil || !strings.Contains(err.Error(), "float32") || !strings.Contains(err.Error(), "int8") {
+			t.Fatalf("ParsePrecision(%q) error = %v, want one naming float32 and int8", name, err)
+		}
 	}
 }
 
-// TestPackedPlanConvBitIdentical pins the packed backend's compatibility
-// gate on convolutions: identical bytes to the reference plan, for every
-// batch and worker count, because the panel kernel accumulates each
-// output element in the same ascending-k order as the blocked GEMM.
-func TestPackedPlanConvBitIdentical(t *testing.T) {
-	n := convNet(11)
-	const maxBatch = 3
-	ref := n.Compile(maxBatch)
-	for _, workers := range []int{1, 2, 4} {
-		plan := n.CompileOpts(maxBatch, CompileOpts{Workers: workers, Precision: Float32Packed})
-		if plan.Precision() != Float32Packed {
-			t.Fatalf("plan precision = %v", plan.Precision())
+// directConv is the test's own convolution, written without a tensor
+// kernel: each output element is a float32 sum over its group's input
+// channels, kernel rows and kernel columns in ascending order, skipping
+// out-of-image taps, then the bias and, when relu is set, the clamp.
+func directConv(c *Conv, in []float32, batch, h, w int, relu bool) []float32 {
+	outH := (h+2*c.PadH-c.KernelH)/c.StrideH + 1
+	outW := (w+2*c.PadW-c.KernelW)/c.StrideW + 1
+	gInC, gOutC := c.InC/c.Groups, c.OutC/c.Groups
+	wt, bias := c.Weight.W.Data(), c.Bias.W.Data()
+	out := make([]float32, batch*c.OutC*outH*outW)
+	i := 0
+	for b := 0; b < batch; b++ {
+		for oc := 0; oc < c.OutC; oc++ {
+			filter := wt[oc*gInC*c.KernelH*c.KernelW:]
+			for oh := 0; oh < outH; oh++ {
+				for ow := 0; ow < outW; ow++ {
+					var sum float32
+					for ci := 0; ci < gInC; ci++ {
+						plane := in[(b*c.InC+oc/gOutC*gInC+ci)*h*w:]
+						for kh := 0; kh < c.KernelH; kh++ {
+							for kw := 0; kw < c.KernelW; kw++ {
+								ih, iw := oh*c.StrideH-c.PadH+kh, ow*c.StrideW-c.PadW+kw
+								if ih >= 0 && ih < h && iw >= 0 && iw < w {
+									sum += filter[(ci*c.KernelH+kh)*c.KernelW+kw] * plane[ih*w+iw]
+								}
+							}
+						}
+					}
+					v := sum + bias[oc]
+					if relu && v < 0 {
+						v = 0
+					}
+					out[i] = v
+					i++
+				}
+			}
 		}
-		for batch := 1; batch <= maxBatch; batch++ {
-			in := randInput(n, batch, uint64(20+batch))
-			want := ref.Forward(in)
-			got := plan.Forward(in)
-			for i := range got.Data() {
-				if got.Data()[i] != want.Data()[i] {
-					t.Fatalf("workers=%d batch=%d: out[%d]=%v, reference %v (must be bit-identical)",
-						workers, batch, i, got.Data()[i], want.Data()[i])
+	}
+	return out
+}
+
+// TestConvMatchesDirectLoops holds the float32 convolution — its columns
+// written into panels, the panel kernel, the bias and ReLU epilogue — to
+// an independent direct convolution, bit for bit, through Conv.Forward
+// and through a compiled plan (with the ReLU fused), over groups 1 and 2,
+// strides 1 and 4, padding 0 and 2, output sizes of every residue mod 4,
+// 1 to 3 workers and batches 1 and 3. The ungrouped filters have 270
+// taps, more than one k block of the kernel.
+func TestConvMatchesDirectLoops(t *testing.T) {
+	const inC, outC, kernel = 30, 6, 3
+	for _, groups := range []int{1, 2} {
+		for _, stride := range []int{1, 4} {
+			for _, pad := range []int{0, 2} {
+				for residue := 0; residue < 4; residue++ {
+					h, w := convSizeWithResidue(kernel, stride, pad, residue)
+					rng := tensor.NewRNG(uint64(100*groups + 10*stride + pad + residue))
+					conv := NewConv("conv", rng, inC, outC, kernel, ConvOpt{Stride: stride, Pad: pad, Groups: groups})
+					rng.FillUniform(conv.Bias.W.Data(), -1, 1)
+					for _, relu := range []bool{false, true} {
+						n := NewNet("conv-oracle", KindCNN, inC, h, w).Add(conv)
+						if relu {
+							n.Add(NewReLU("relu"))
+						}
+						for _, workers := range []int{1, 2, 3} {
+							plan := n.CompileOpts(3, CompileOpts{Workers: workers})
+							ctx := NewCtx(1)
+							ctx.Workers = workers
+							for _, batch := range []int{1, 3} {
+								in := randInput(n, batch, uint64(batch))
+								want := directConv(conv, in.Data(), batch, h, w, relu)
+								direct := tensor.New(append([]int{batch}, n.shapes[0]...)...)
+								conv.forward(ctx, in, direct, relu)
+								for path, got := range map[string][]float32{"Conv.forward": direct.Data(), "plan": plan.Forward(in).Data()} {
+									for i := range want {
+										if math.Float32bits(got[i]) != math.Float32bits(want[i]) {
+											t.Fatalf("groups %d stride %d pad %d %dx%d relu %v workers %d batch %d: %s out[%d]=%v, direct loops %v",
+												groups, stride, pad, h, w, relu, workers, batch, path, i, got[i], want[i])
+										}
+									}
+								}
+							}
+						}
+					}
 				}
 			}
 		}
 	}
 }
 
-// TestPackedPlanCloseToFloat32 covers the FC case, where the packed
-// kernel's accumulation order differs from the reference GEMV's 4-wide
-// unrolled sum: results agree to float rounding, not bit-identically.
-func TestPackedPlanCloseToFloat32(t *testing.T) {
-	n := zooNet(12)
-	const maxBatch = 4
-	ref := n.Compile(maxBatch)
-	plan := n.CompileOpts(maxBatch, CompileOpts{Precision: Float32Packed})
-	for batch := 1; batch <= maxBatch; batch++ {
-		in := randInput(n, batch, uint64(30+batch))
-		want := ref.Forward(in).Data()
-		got := plan.Forward(in).Data()
-		for i := range got {
-			if math.Abs(float64(got[i]-want[i])) > 1e-5 {
-				t.Fatalf("batch=%d: out[%d]=%v, reference %v", batch, i, got[i], want[i])
+// convSizeWithResidue returns the smallest input height and width whose
+// output has OutH·OutW ≡ residue (mod 4).
+func convSizeWithResidue(kernel, stride, pad, residue int) (int, int) {
+	for h := kernel; ; h++ {
+		for w := kernel; w <= h; w++ {
+			oh, ow := (h+2*pad-kernel)/stride+1, (w+2*pad-kernel)/stride+1
+			if oh*ow%4 == residue {
+				return h, w
 			}
 		}
 	}
@@ -146,13 +190,11 @@ func TestInt8PlanWorkersBitIdentical(t *testing.T) {
 
 func TestPrecisionPlansZeroAllocSteadyState(t *testing.T) {
 	n := zooNet(15)
-	for _, prec := range []Precision{Float32Packed, Int8} {
-		plan := n.CompileOpts(4, CompileOpts{Precision: prec})
-		in := randInput(n, 4, 16)
-		plan.Forward(in)
-		if allocs := testing.AllocsPerRun(20, func() { plan.Forward(in) }); allocs != 0 {
-			t.Fatalf("%v: %.1f allocs per forward, want 0", prec, allocs)
-		}
+	plan := n.CompileOpts(4, CompileOpts{Precision: Int8})
+	in := randInput(n, 4, 16)
+	plan.Forward(in)
+	if allocs := testing.AllocsPerRun(20, func() { plan.Forward(in) }); allocs != 0 {
+		t.Fatalf("int8: %.1f allocs per forward, want 0", allocs)
 	}
 }
 

@@ -236,8 +236,8 @@ func (c *Client) ServerSched(app string) (string, error) {
 }
 
 // ServerPrecision returns the kernel precision one application's plan
-// pool was compiled at ("float32", "float32-packed" or "int8"), as
-// rendered by the "precision" control verb.
+// pool was compiled at ("float32" or "int8"), as rendered by the
+// "precision" control verb.
 func (c *Client) ServerPrecision(app string) (string, error) {
 	return c.Control("precision " + app)
 }

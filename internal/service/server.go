@@ -56,10 +56,9 @@ type AppConfig struct {
 	Priority sched.Priority
 	// Precision selects the kernel backend the app's execution plans
 	// compile against: nn.Float32 (the zero value) is the reference
-	// path, nn.Float32Packed the panel-packing float32 kernels
-	// (bit-identical outputs), nn.Int8 the quantized path (int8
-	// weights and activations, int32 accumulation, ~99%+ top-1
-	// agreement). The app's whole plan pool is compiled at this
+	// path (float32 kernels; convolutions lowered straight into panels
+	// for the packed GEMM), nn.Int8 the quantized path (int8 weights
+	// and activations, int32 accumulation, ~99%+ top-1 agreement). The app's whole plan pool is compiled at this
 	// precision, so pools are keyed by (app, version, precision) —
 	// serving one model at two precisions means registering it twice
 	// (e.g. "imc" and "imc@v2" with different configs).

@@ -16,8 +16,9 @@ const (
 // Gemm computes C = alpha*A*B + beta*C for row-major matrices,
 // where A is m×k, B is k×n and C is m×n. It panics if the buffer sizes
 // do not match the dimensions. The implementation is cache-blocked with
-// an unrolled inner kernel; it is the workhorse behind fully-connected
-// and (via im2col) convolutional layers.
+// an unrolled inner kernel. The layers run the panel kernel (GemmPacked),
+// which gives the same bits; Gemm stays as its reference and as the
+// host canary's fixed workload.
 func Gemm(m, n, k int, alpha float32, a, b []float32, beta float32, c []float32) {
 	if len(a) < m*k || len(b) < k*n || len(c) < m*n {
 		panic(fmt.Sprintf("tensor: gemm buffer too small for m=%d n=%d k=%d (len a=%d b=%d c=%d)", m, n, k, len(a), len(b), len(c)))
@@ -73,28 +74,6 @@ func gemmBlock(i0, i1, j0, j1, k0, k1, n, k int, alpha float32, a, b, c []float3
 			}
 		}
 	}
-}
-
-// GemmParallel computes the same C = alpha*A*B + beta*C as Gemm, with
-// the M dimension split into contiguous row blocks, one goroutine per
-// block. Each goroutine runs the serial blocked kernel over its own rows
-// of A and C — workers never share an output row — so the per-row
-// floating-point operation order is exactly the serial kernel's and the
-// result is bit-identical to Gemm for any worker count. workers <= 1
-// falls back to the serial kernel; workers > m is clamped.
-func GemmParallel(workers, m, n, k int, alpha float32, a, b []float32, beta float32, c []float32) {
-	if len(a) < m*k || len(b) < k*n || len(c) < m*n {
-		panic(fmt.Sprintf("tensor: gemm buffer too small for m=%d n=%d k=%d (len a=%d b=%d c=%d)", m, n, k, len(a), len(b), len(c)))
-	}
-	if workers <= 1 || m <= 1 {
-		// Serial fast path: skip the closure so the steady-state forward
-		// path stays allocation-free.
-		Gemm(m, n, k, alpha, a, b, beta, c)
-		return
-	}
-	ParallelRows(workers, m, func(lo, hi int) {
-		Gemm(hi-lo, n, k, alpha, a[lo*k:hi*k], b, beta, c[lo*n:hi*n])
-	})
 }
 
 // ParallelRows splits [0, rows) into contiguous blocks, one per worker,

@@ -1,5 +1,7 @@
 package tensor
 
+import "fmt"
+
 // ConvGeom describes the geometry of a 2-D convolution or pooling
 // operation over a single image plane.
 type ConvGeom struct {
@@ -50,6 +52,60 @@ func Im2col(g ConvGeom, img, col []float32) {
 						}
 						colIdx++
 					}
+				}
+			}
+		}
+	}
+}
+
+// Im2colPanels writes the column matrix of one image straight into the
+// K×NR panel layout GemmPacked reads, so a convolution holds one column
+// buffer instead of a column matrix and its packed copy. bp ends up
+// exactly as Im2col followed by PackB(k, n, col, bp) leaves it, pad
+// lanes zeroed, where k = Channels·KernelH·KernelW and n = OutH·OutW.
+// bp must have at least PackedBLen(k, n) elements.
+func Im2colPanels(g ConvGeom, img, bp []float32) {
+	outW := g.OutW()
+	n, k := g.OutH()*outW, g.Channels*g.KernelH*g.KernelW
+	plane := g.Height * g.Width
+	if len(img) < g.Channels*plane || len(bp) < PackedBLen(k, n) {
+		panic(fmt.Sprintf("tensor: im2colpanels buffer too small for k=%d n=%d (len img=%d bp=%d)", k, n, len(img), len(bp)))
+	}
+	var ih0, iw0, off [packNR]int
+	for j0 := 0; j0 < n; j0 += packNR {
+		// Each lane's top-left input tap. A panel is inside when all its
+		// lanes are real columns whose whole window lies in the image,
+		// which holds for most panels; only those at the border need
+		// the per-tap bounds checks below. The inside copy spells out
+		// packNR's four lanes.
+		inside := j0+packNR <= n
+		for jj := 0; jj < packNR; jj++ {
+			j := j0 + jj
+			ih0[jj] = (j/outW)*g.StrideH - g.PadH
+			iw0[jj] = (j%outW)*g.StrideW - g.PadW
+			off[jj] = ih0[jj]*g.Width + iw0[jj]
+			inside = inside && ih0[jj] >= 0 && ih0[jj]+g.KernelH <= g.Height &&
+				iw0[jj] >= 0 && iw0[jj]+g.KernelW <= g.Width
+		}
+		dst := bp[j0*k : j0*k+k*packNR]
+		t := 0
+		for c := 0; c < g.Channels; c++ {
+			for kh := 0; kh < g.KernelH; kh++ {
+				for kw := 0; kw < g.KernelW; kw++ {
+					if inside {
+						r := c*plane + kh*g.Width + kw
+						dst[t], dst[t+1], dst[t+2], dst[t+3] = img[off[0]+r], img[off[1]+r], img[off[2]+r], img[off[3]+r]
+					} else {
+						for jj := 0; jj < packNR; jj++ {
+							ih, iw := ih0[jj]+kh, iw0[jj]+kw
+							v := float32(0)
+							if j0+jj < n && ih >= 0 && ih < g.Height && iw >= 0 && iw < g.Width {
+								v = img[c*plane+ih*g.Width+iw]
+							}
+							dst[t+jj] = v
+						}
+					}
+					t += packNR
 				}
 			}
 		}

@@ -128,25 +128,13 @@ func MaxAbs(x []float32) float32 {
 }
 
 // AddBias adds bias[j] to every element of column j in an m×n row-major
-// matrix. For NCHW activations the caller arranges the matrix so each
-// output channel is one row instead; see AddBiasRows.
+// matrix (the fully-connected case; convolution adds its per-channel
+// bias in GemmPacked's EpBiasRow epilogue).
 func AddBias(m, n int, x, bias []float32) {
 	for i := 0; i < m; i++ {
 		row := x[i*n : (i+1)*n]
 		for j := range row {
 			row[j] += bias[j]
-		}
-	}
-}
-
-// AddBiasRows adds bias[i] to every element of row i of an m×n matrix
-// (the convolution case: one row per output channel).
-func AddBiasRows(m, n int, x, bias []float32) {
-	for i := 0; i < m; i++ {
-		row := x[i*n : (i+1)*n]
-		b := bias[i]
-		for j := range row {
-			row[j] += b
 		}
 	}
 }
@@ -160,22 +148,6 @@ func AddBiasReLU(m, n int, x, bias []float32) {
 		row := x[i*n : (i+1)*n]
 		for j := range row {
 			v := row[j] + bias[j]
-			if v < 0 {
-				v = 0
-			}
-			row[j] = v
-		}
-	}
-}
-
-// AddBiasRowsReLU is the fused epilogue max(0, x+bias) with row bias
-// (the convolution case). See AddBiasReLU.
-func AddBiasRowsReLU(m, n int, x, bias []float32) {
-	for i := 0; i < m; i++ {
-		row := x[i*n : (i+1)*n]
-		b := bias[i]
-		for j := range row {
-			v := row[j] + b
 			if v < 0 {
 				v = 0
 			}

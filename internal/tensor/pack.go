@@ -21,8 +21,8 @@ import "fmt"
 // blocking does. For finite inputs the result of
 // GemmPacked(..., EpNone, nil) is therefore bit-identical to
 // Gemm(m, n, k, 1, a, b, 0, c), and the fused epilogues are
-// bit-identical to Gemm followed by AddBias/AddBiasReLU/AddBiasRows/
-// AddBiasRowsReLU. Parallel variants assign every output element to
+// bit-identical to Gemm followed by the same bias add and ReLU clamp one
+// element at a time. Parallel variants assign every output element to
 // exactly one worker which computes it in the same ascending-k order, so
 // results are bit-identical for any worker count.
 const (
@@ -112,33 +112,6 @@ func PackB(k, n int, b, bp []float32) {
 	}
 }
 
-// PackBT packs B from its transpose: bt is row-major n×k where row j of
-// bt is column j of the logical k×n B. This is the fully-connected
-// weight case (W stored [out, in], B = Wᵀ). The packed layout is
-// identical to PackB's.
-func PackBT(k, n int, bt, bp []float32) {
-	if len(bt) < k*n || len(bp) < PackedBLen(k, n) {
-		panic(fmt.Sprintf("tensor: packbt buffer too small for k=%d n=%d (len bt=%d bp=%d)", k, n, len(bt), len(bp)))
-	}
-	np := (n + packNR - 1) / packNR
-	for p := 0; p < np; p++ {
-		j0 := p * packNR
-		jv := min(packNR, n-j0)
-		dst := bp[p*k*packNR:]
-		for jj := 0; jj < jv; jj++ {
-			col := bt[(j0+jj)*k : (j0+jj)*k+k]
-			for kk := 0; kk < k; kk++ {
-				dst[kk*packNR+jj] = col[kk]
-			}
-		}
-		for jj := jv; jj < packNR; jj++ {
-			for kk := 0; kk < k; kk++ {
-				dst[kk*packNR+jj] = 0
-			}
-		}
-	}
-}
-
 func checkPacked(m, n, k int, a, bp, c []float32, ep Epilogue, bias []float32) {
 	if len(a) < m*k || len(bp) < PackedBLen(k, n) || len(c) < m*n {
 		panic(fmt.Sprintf("tensor: packed gemm buffer too small for m=%d n=%d k=%d (len a=%d bp=%d c=%d)", m, n, k, len(a), len(bp), len(c)))
@@ -156,7 +129,7 @@ func checkPacked(m, n, k int, a, bp, c []float32, ep Epilogue, bias []float32) {
 }
 
 // GemmPacked computes C = epilogue(A·B) where A is m×k row-major and bp
-// is B packed with PackB/PackBT. C is overwritten (beta = 0 semantics);
+// is B packed with PackB or Im2colPanels. C is overwritten (beta = 0 semantics);
 // nothing is allocated. See the package comment above for the
 // bit-identity guarantees.
 func GemmPacked(m, n, k int, a, bp, c []float32, ep Epilogue, bias []float32) {

@@ -46,7 +46,7 @@ func Register(s *service.Server, a models.App) error {
 
 // RegisterPrecision is Register with an explicit kernel precision: the
 // app's whole plan pool compiles against the selected backend
-// (reference float32, packed float32, or quantized int8).
+// (reference float32 or quantized int8).
 func RegisterPrecision(s *service.Server, a models.App, prec nn.Precision) error {
 	spec := workload.Get(a)
 	return s.Register(ServiceName(a), models.BuildCached(a), service.AppConfig{
