@@ -316,31 +316,38 @@ func TestAggregatorWorkConserving(t *testing.T) {
 
 // TestAggregatorSaturatedClosedLoop: batching still happens when it
 // should. Sixteen closed-loop clients drive one worker, and the test
-// holds every forward pass until each client has a query outstanding, so
-// the replica is saturated by construction. The clients a pass does not
-// hold queue behind it and leave together: passes average half the
-// clients (the bar leaves room for a client that has entered Infer but
-// not yet enqueued when the pass is released).
+// holds every forward pass until each client has a query queued, so the
+// replica is saturated by construction. The clients a pass does not hold
+// are all in the pending batch when it is released and leave together,
+// so two consecutive passes carry every client between them (the bar of
+// four leaves room for the short passes that drain the clients after
+// they stop). Clients enqueue on the aggregator's inbox directly: a
+// query counted as started inside Infer may not have reached the queue
+// when the pass is released, and the next pass would then miss it.
 func TestAggregatorSaturatedClosedLoop(t *testing.T) {
 	const clients, rounds = 16, 20
 	g := newGated(t, AppConfig{BatchInstances: 64, Workers: 1})
-	var started atomic.Int64 // queries the clients have begun
+	var queued atomic.Int64 // queries the aggregator's inbox has taken
 	stop := make(chan struct{})
 	var wg sync.WaitGroup
 	for c := 0; c < clients; c++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			in := make([]float32, 8)
 			for {
 				select {
 				case <-stop:
 					return
 				default:
 				}
-				started.Add(1)
-				if _, err := g.s.Infer("gate", in); err != nil {
+				req := &request{ctx: context.Background(), in: make([]float32, 8), instances: 1, enqueued: time.Now(), resp: make(chan result, 1)}
+				if err := g.a.enqueue(req); err != nil {
 					t.Error(err)
+					return
+				}
+				queued.Add(1)
+				if res := <-req.resp; res.err != nil {
+					t.Error(res.err)
 					return
 				}
 			}
@@ -368,12 +375,13 @@ func TestAggregatorSaturatedClosedLoop(t *testing.T) {
 			t.Fatal("no batch reached the worker")
 		}
 		// The one worker is held, so every earlier pass is booked: each
-		// client has a query outstanding once the clients have begun that
-		// many more than were answered.
+		// client has a query queued once the inbox has taken that many
+		// more than were answered, and each is in the pending batch once
+		// the aggregator has emptied its inbox.
 		st, _ := g.s.StatsFor("gate")
-		for deadline := time.Now().Add(10 * time.Second); r < rounds && started.Load() < st.Queries+clients; runtime.Gosched() {
+		for deadline := time.Now().Add(10 * time.Second); r < rounds && (queued.Load() < st.Queries+clients || len(g.a.reqCh) > 0); runtime.Gosched() {
 			if time.Now().After(deadline) {
-				t.Fatalf("%d of %d clients waiting", started.Load()-st.Queries, clients)
+				t.Fatalf("%d of %d clients queued, %d still in the inbox", queued.Load()-st.Queries, clients, len(g.a.reqCh))
 			}
 		}
 		g.layer.release <- struct{}{}
