@@ -3,6 +3,7 @@ package experiments
 import (
 	"fmt"
 	"runtime"
+	"slices"
 	"time"
 
 	"djinn/internal/models"
@@ -29,10 +30,13 @@ type QuantConfig struct {
 	// AgreeBatches is how many fresh random batches feed the top-1
 	// agreement comparison. Zero means 2.
 	AgreeBatches int
-	// MinTime is the minimum measured wall time per precision; MinIters
-	// the minimum forward passes. Zero means the defaults (100ms, 1).
-	MinTime  time.Duration
-	MinIters int
+	// MinPasses is the minimum number of timed forward passes per
+	// precision and MinTime the minimum wall time of the whole timed
+	// series; both must be met. Zero means the defaults (9 passes,
+	// 100ms): a large net's ratio then rests on nine pairs of passes,
+	// not on however many fit in 100ms.
+	MinTime   time.Duration
+	MinPasses int
 }
 
 func (c QuantConfig) withDefaults() QuantConfig {
@@ -51,8 +55,8 @@ func (c QuantConfig) withDefaults() QuantConfig {
 	if c.MinTime <= 0 {
 		c.MinTime = 100 * time.Millisecond
 	}
-	if c.MinIters <= 0 {
-		c.MinIters = 1
+	if c.MinPasses <= 0 {
+		c.MinPasses = 9
 	}
 	return c
 }
@@ -62,9 +66,18 @@ type QuantCell struct {
 	App   string `json:"app"`
 	Batch int    `json:"batch"`
 
-	F32QPS      float64 `json:"f32_qps"`      // instances/sec, float32 reference plan
-	Int8QPS     float64 `json:"int8_qps"`     // instances/sec, int8 plan
-	Int8Speedup float64 `json:"int8_speedup"` // Int8QPS / F32QPS
+	// Passes is the number of timed forward passes per precision. The
+	// rates and the speedup are medians over passes, each with its
+	// interquartile range [q1, q3]: the float32 and int8 passes
+	// alternate, and the speedup of pass pair i is float32 time ÷ int8
+	// time, so a slow spell on the host lands on both sides of a pair.
+	Passes         int        `json:"passes"`
+	F32QPS         float64    `json:"f32_qps"`  // instances/sec, float32 reference plan
+	Int8QPS        float64    `json:"int8_qps"` // instances/sec, int8 plan
+	Int8Speedup    float64    `json:"int8_speedup"`
+	F32QPSIQR      [2]float64 `json:"f32_qps_iqr"`
+	Int8QPSIQR     [2]float64 `json:"int8_qps_iqr"`
+	Int8SpeedupIQR [2]float64 `json:"int8_speedup_iqr"`
 
 	F32Allocs  float64 `json:"f32_allocs"` // heap allocations per forward call
 	Int8Allocs float64 `json:"int8_allocs"`
@@ -153,12 +166,20 @@ func QuantSweep(cfg QuantConfig) []QuantCell {
 		}
 
 		rng.FillNorm(in.Data(), 0, 1)
-		f32FPS, f32Allocs := measure(cfg.MinTime, cfg.MinIters, func() { f32.Forward(in) })
-		int8FPS, int8Allocs := measure(cfg.MinTime, cfg.MinIters, func() { quant.Forward(in) })
-
-		cell.F32QPS = f32FPS * float64(cfg.Batch)
-		cell.Int8QPS = int8FPS * float64(cfg.Batch)
-		cell.Int8Speedup = cell.Int8QPS / cell.F32QPS
+		f32Secs, int8Secs, f32Allocs, int8Allocs := measurePair(cfg.MinTime, cfg.MinPasses,
+			func() { f32.Forward(in) }, func() { quant.Forward(in) })
+		batch := float64(cfg.Batch)
+		rate := func(secs float64) float64 { return batch / secs }
+		ratio := make([]float64, len(f32Secs))
+		for i := range ratio {
+			ratio[i] = f32Secs[i] / int8Secs[i]
+		}
+		// A rate falls as its time rises, so the time quartiles swap.
+		f32Q, int8Q, ratioQ := quartiles(f32Secs), quartiles(int8Secs), quartiles(ratio)
+		cell.Passes = len(f32Secs)
+		cell.F32QPS, cell.F32QPSIQR = rate(f32Q[1]), [2]float64{rate(f32Q[2]), rate(f32Q[0])}
+		cell.Int8QPS, cell.Int8QPSIQR = rate(int8Q[1]), [2]float64{rate(int8Q[2]), rate(int8Q[0])}
+		cell.Int8Speedup, cell.Int8SpeedupIQR = ratioQ[1], [2]float64{ratioQ[0], ratioQ[2]}
 		cell.F32Allocs = f32Allocs
 		cell.Int8Allocs = int8Allocs
 		cells = append(cells, cell)
@@ -166,27 +187,42 @@ func QuantSweep(cfg QuantConfig) []QuantCell {
 	return cells
 }
 
-// measure times fn until both minimums are met and returns
-// (forward calls per second, heap allocations per call).
-func measure(minTime time.Duration, minIters int, fn func()) (float64, float64) {
-	fn() // warm up: scratch growth, first-touch
-	var before, after runtime.MemStats
-	runtime.ReadMemStats(&before)
-	start := time.Now()
-	iters := 0
-	for {
+// measurePair times a and b one pass each, alternately, until each has
+// run at least minPasses timed passes and the series has run for
+// minTime. It returns every pass's wall time in seconds per side and
+// each side's heap allocations per call; the allocation count is read
+// outside the timed region.
+func measurePair(minTime time.Duration, minPasses int, a, b func()) (aSecs, bSecs []float64, aAllocs, bAllocs float64) {
+	a() // warm up: scratch growth, first-touch
+	b()
+	var mallocs [2]uint64
+	var ms runtime.MemStats
+	pass := func(fn func(), side int) float64 {
+		runtime.ReadMemStats(&ms)
+		before := ms.Mallocs
+		start := time.Now()
 		fn()
-		iters++
-		if iters >= minIters && time.Since(start) >= minTime {
-			break
-		}
+		secs := time.Since(start).Seconds()
+		runtime.ReadMemStats(&ms)
+		mallocs[side] += ms.Mallocs - before
+		return secs
 	}
-	elapsed := time.Since(start)
-	runtime.ReadMemStats(&after)
-	allocs := float64(after.Mallocs-before.Mallocs) / float64(iters)
-	// ReadMemStats itself allocates nothing, but the timing calls may:
-	// the two time.Since/Now pairs are alloc-free, so the delta is fn's.
-	return float64(iters) / elapsed.Seconds(), allocs
+	start := time.Now()
+	for len(aSecs) < minPasses || time.Since(start) < minTime {
+		aSecs = append(aSecs, pass(a, 0))
+		bSecs = append(bSecs, pass(b, 1))
+	}
+	n := float64(len(aSecs))
+	return aSecs, bSecs, float64(mallocs[0]) / n, float64(mallocs[1]) / n
+}
+
+// quartiles returns the first quartile, the median and the third
+// quartile of v (nearest rank), leaving v unchanged.
+func quartiles(v []float64) [3]float64 {
+	s := slices.Clone(v)
+	slices.Sort(s)
+	at := func(q float64) float64 { return s[int(q*float64(len(s)-1)+0.5)] }
+	return [3]float64{at(0.25), at(0.5), at(0.75)}
 }
 
 // RenderQuant prints the precision comparison for all seven Tonic
@@ -200,13 +236,15 @@ func RenderQuant() string {
 func RenderQuantCells(cells []QuantCell) string {
 	t := &table{header: []string{
 		"app", "batch",
-		"f32 q/s", "int8 q/s", "int8 x",
+		"f32 q/s", "int8 q/s", "int8 x [q1, q3]", "passes",
 		"allocs f32/int8",
 		"top-1 agree", "decisive", "max |err|", "n",
 	}}
 	for _, c := range cells {
 		t.add(c.App, fmt.Sprintf("%d", c.Batch),
-			f1(c.F32QPS), f1(c.Int8QPS), f2(c.Int8Speedup),
+			f1(c.F32QPS), f1(c.Int8QPS),
+			fmt.Sprintf("%s [%s, %s]", f2(c.Int8Speedup), f2(c.Int8SpeedupIQR[0]), f2(c.Int8SpeedupIQR[1])),
+			fmt.Sprintf("%d", c.Passes),
 			fmt.Sprintf("%s/%s", f1(c.F32Allocs), f1(c.Int8Allocs)),
 			f3(c.Agreement), f3(c.DecisiveAgreement),
 			fmt.Sprintf("%.1e", c.MaxAbsErr),
@@ -216,6 +254,7 @@ func RenderQuantCells(cells []QuantCell) string {
 		"Quant: precision-pluggable plans, float32 reference vs int8 (GOMAXPROCS=%d)\n"+
 			"int8: symmetric weight scales fixed at compile time, dynamic activation scales,\n"+
 			"int32 accumulation, dequantize fused into the bias+ReLU epilogue.\n"+
+			"Rates and speedups are medians over alternating float32/int8 passes.\n"+
 			"\"decisive\" excludes instances whose float32 top-1/top-2 margin is under 1e-5 —\n"+
 			"near-ties an untrained net's near-uniform output produces; the committed golden\n"+
 			"fixtures (internal/models/testdata) pin the >= 0.99 top-1 serving gate in tier-1.\n%s",

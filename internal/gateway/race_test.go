@@ -156,11 +156,33 @@ func TestGatewayKillReplicaMidRunZeroLost(t *testing.T) {
 			}
 		}(c)
 	}
-	time.Sleep(150 * time.Millisecond)
-	victim.Close() // kill one replica mid-run
-	time.Sleep(250 * time.Millisecond)
+	// The run is measured in answered requests, not wall time, so a
+	// slow host (-race on a busy machine) stretches it instead of
+	// cutting it short before the cache has seen repeats: the replica
+	// dies after okBeforeKill answers, and the clients stop once
+	// okTotal have come back, about a third of them cacheable repeats
+	// of four sentences.
+	const okBeforeKill, okTotal = 20, 60
+	waitOK := func(target int64) bool {
+		deadline := time.Now().Add(2 * time.Minute)
+		for ok.Load() < target {
+			if time.Now().After(deadline) {
+				return false
+			}
+			time.Sleep(5 * time.Millisecond)
+		}
+		return true
+	}
+	reached := waitOK(okBeforeKill)
+	if reached {
+		victim.Close() // kill one replica mid-run
+		reached = waitOK(okTotal)
+	}
 	close(stop)
 	wg.Wait()
+	if !reached {
+		t.Fatalf("only %d of %d requests answered 200 within the deadline (issued %d)", ok.Load(), okTotal, issued.Load())
+	}
 
 	if firstUnexplained != nil {
 		t.Fatalf("unexplained failure: %v", firstUnexplained)

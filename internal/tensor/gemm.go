@@ -149,14 +149,17 @@ func Gemv(m, n int, alpha float32, a, x []float32, beta float32, y []float32) {
 	}
 }
 
-// Dot returns the inner product of a and b (which must be equal length).
+// Dot returns the inner product of a and b (which must be equal length),
+// summed strictly in index order. Each product is rounded to float32
+// before it is added, so no target fuses the loop into multiply-adds and
+// the result is the same on every architecture.
 func Dot(a, b []float32) float32 {
 	if len(a) != len(b) {
 		panic("tensor: dot length mismatch")
 	}
 	var sum float32
 	for i := range a {
-		sum += a[i] * b[i]
+		sum += float32(a[i] * b[i])
 	}
 	return sum
 }

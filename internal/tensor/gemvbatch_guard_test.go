@@ -16,18 +16,10 @@ import (
 // NewParam or .djw mapping may end — and runs the tile over it. A
 // kernel that read one byte past the last weight row would fault.
 func TestGemvBatchStopsAtLastWeightRow(t *testing.T) {
-	page := syscall.Getpagesize()
 	for name, asm := range tileImpls() {
 		for _, shape := range [][2]int{{8, 13}, {7, 16}, {5, 3}} {
 			m, n := shape[0], shape[1]
-			mem, err := syscall.Mmap(-1, 0, 2*page, syscall.PROT_READ|syscall.PROT_WRITE, syscall.MAP_ANON|syscall.MAP_PRIVATE)
-			if err != nil {
-				t.Fatalf("mmap: %v", err)
-			}
-			if err := syscall.Mprotect(mem[page:], syscall.PROT_NONE); err != nil {
-				t.Fatalf("mprotect: %v", err)
-			}
-			a := unsafe.Slice((*float32)(unsafe.Pointer(&mem[page-4*m*n])), m*n)
+			a := guardedFloats(t, m*n)
 			NewRNG(uint64(m*n)).FillNorm(a, 0, 1)
 			const batch = 9
 			x := make([]float32, batch*n)
@@ -46,11 +38,30 @@ func TestGemvBatchStopsAtLastWeightRow(t *testing.T) {
 					}
 				}
 			}
-			if err := syscall.Munmap(mem); err != nil {
-				t.Fatalf("munmap: %v", err)
-			}
 		}
 	}
+}
+
+// guardedFloats returns n floats that end exactly where a PROT_NONE
+// page begins, so a read one float past the end faults. The mapping is
+// released when the test ends.
+func guardedFloats(t *testing.T, n int) []float32 {
+	t.Helper()
+	page := syscall.Getpagesize()
+	size := (4*n + page - 1) / page * page
+	mem, err := syscall.Mmap(-1, 0, size+page, syscall.PROT_READ|syscall.PROT_WRITE, syscall.MAP_ANON|syscall.MAP_PRIVATE)
+	if err != nil {
+		t.Fatalf("mmap: %v", err)
+	}
+	t.Cleanup(func() {
+		if err := syscall.Munmap(mem); err != nil {
+			t.Errorf("munmap: %v", err)
+		}
+	})
+	if err := syscall.Mprotect(mem[size:], syscall.PROT_NONE); err != nil {
+		t.Fatalf("mprotect: %v", err)
+	}
+	return unsafe.Slice((*float32)(unsafe.Pointer(&mem[size-4*n])), n)
 }
 
 // runNoFault runs f with memory faults turned into panics, and returns

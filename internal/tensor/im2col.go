@@ -74,12 +74,10 @@ func Im2colPanels(g ConvGeom, img, bp []float32) {
 	var ih0, iw0, off [packNR]int
 	for j0 := 0; j0 < n; j0 += packNR {
 		// Each lane's top-left input tap. A panel is inside when all its
-		// lanes are real columns whose whole window lies in the image,
-		// which holds for most panels; only those at the border need
-		// the per-tap bounds checks below. The inside copy spells out
-		// packNR's four lanes.
+		// lanes are real columns whose whole window lies in the image;
+		// only panels at the border need the per-tap bounds checks below.
 		inside := j0+packNR <= n
-		for jj := 0; jj < packNR; jj++ {
+		for jj := range off {
 			j := j0 + jj
 			ih0[jj] = (j/outW)*g.StrideH - g.PadH
 			iw0[jj] = (j%outW)*g.StrideW - g.PadW
@@ -92,17 +90,20 @@ func Im2colPanels(g ConvGeom, img, bp []float32) {
 		for c := 0; c < g.Channels; c++ {
 			for kh := 0; kh < g.KernelH; kh++ {
 				for kw := 0; kw < g.KernelW; kw++ {
+					d := dst[t : t+packNR]
 					if inside {
 						r := c*plane + kh*g.Width + kw
-						dst[t], dst[t+1], dst[t+2], dst[t+3] = img[off[0]+r], img[off[1]+r], img[off[2]+r], img[off[3]+r]
+						for jj, o := range off {
+							d[jj] = img[o+r]
+						}
 					} else {
-						for jj := 0; jj < packNR; jj++ {
+						for jj := range d {
 							ih, iw := ih0[jj]+kh, iw0[jj]+kw
 							v := float32(0)
 							if j0+jj < n && ih >= 0 && ih < g.Height && iw >= 0 && iw < g.Width {
 								v = img[c*plane+ih*g.Width+iw]
 							}
-							dst[t+jj] = v
+							d[jj] = v
 						}
 					}
 					t += packNR

@@ -11,14 +11,22 @@ import "fmt"
 // into an L1-resident buffer, and keeps a packMR×packNR tile of C in
 // registers across packKC k steps. C traffic drops from O(k) to
 // O(k/packKC) loads+stores per element and every inner-loop operand is a
-// sequential read. The 2×4 register tile is deliberate: 8 accumulators
-// plus 6 operands fit the amd64 XMM file with no spills, which beats a
-// larger tile that round-trips accumulators through the stack.
+// sequential read. The 6×16 tile is sized by the sixteen AVX2 YMM
+// registers: twelve accumulators (six rows of two 8-lane vectors), the
+// two B vectors of one k step and two temporaries, so nothing spills.
+// Tiles at the m and n fringes run the same kernel on a zero-padded
+// 6×16 copy of their C block on the stack; only the real rows and
+// columns are copied back. Off amd64, without AVX2 and under the purego
+// tag a portable twin runs the same tile as 2×4 register sub-tiles.
 //
 // Numerics: products are accumulated one at a time in ascending-k order
 // per output element, exactly like the reference kernel, and partial
 // sums round-trip through C between k blocks just as Gemm's cache
-// blocking does. For finite inputs the result of
+// blocking does. Every product is rounded to float32 before it is added
+// (VMULPS then VADDPS in the AVX2 tile, an explicit float32 conversion
+// in the twin), never fused into a multiply-add. Because the accumulator
+// is float32 and its round-trip through C is exact, neither the tile
+// shape nor packKC changes a bit. For finite inputs the result of
 // GemmPacked(..., EpNone, nil) is therefore bit-identical to
 // Gemm(m, n, k, 1, a, b, 0, c), and the fused epilogues are
 // bit-identical to Gemm followed by the same bias add and ReLU clamp one
@@ -28,12 +36,12 @@ import "fmt"
 const (
 	// packNR is the panel width: each packed panel stores packNR
 	// consecutive B columns, interleaved per k step.
-	packNR = 4
+	packNR = 16
 	// packMR is the register tile height of the float32 microkernel.
-	packMR = 2
-	// packKC is the k-block length. One A tile (packMR×packKC floats)
-	// and one B panel block (packKC×packNR floats) are ≤4 KiB, so both
-	// sit in L1 while the microkernel runs.
+	packMR = 6
+	// packKC is the k-block length. One A tile (packMR×packKC floats,
+	// 6 KiB) and one B panel block (packKC×packNR floats, 16 KiB) sit in
+	// L1 together while the microkernel runs.
 	packKC = 256
 )
 
@@ -133,45 +141,45 @@ func checkPacked(m, n, k int, a, bp, c []float32, ep Epilogue, bias []float32) {
 // nothing is allocated. See the package comment above for the
 // bit-identity guarantees.
 func GemmPacked(m, n, k int, a, bp, c []float32, ep Epilogue, bias []float32) {
-	checkPacked(m, n, k, a, bp, c, ep, bias)
-	zeroC(m*n, c)
-	np := (n + packNR - 1) / packNR
-	gemmPackedRange(m, n, k, 0, np, a, bp, c, ep, bias)
+	gemmPacked(useAVX2, 1, m, n, k, a, bp, c, ep, bias)
 }
 
 // GemmPackedParallel is GemmPacked with the work split across workers:
-// contiguous row blocks when m > 1, contiguous panel blocks when m == 1
-// (the batch-1 fully-connected case, where the row split would leave all
-// but one worker idle). Each output element is produced by exactly one
-// worker in the serial kernel's ascending-k order, so the result is
-// bit-identical to the serial call for any worker count.
+// contiguous blocks of row tiles when m > packMR, contiguous panel
+// blocks otherwise (the batch-1 fully-connected case, where the row
+// split would leave all but one worker idle). Each output element is
+// produced by exactly one worker in the serial kernel's ascending-k
+// order, so the result is bit-identical to the serial call for any
+// worker count.
 func GemmPackedParallel(workers, m, n, k int, a, bp, c []float32, ep Epilogue, bias []float32) {
-	checkPacked(m, n, k, a, bp, c, ep, bias)
-	zeroC(m*n, c)
-	np := (n + packNR - 1) / packNR
-	if workers <= 1 {
-		gemmPackedRange(m, n, k, 0, np, a, bp, c, ep, bias)
-		return
-	}
-	if m == 1 {
-		ParallelRows(workers, np, func(plo, phi int) {
-			gemmPackedRange(m, n, k, plo, phi, a, bp, c, ep, bias)
-		})
-		return
-	}
-	rowBias := ep == EpBiasRow || ep == EpBiasRowReLU
-	ParallelRows(workers, m, func(lo, hi int) {
-		bi := bias
-		if rowBias {
-			bi = bias[lo:hi]
-		}
-		gemmPackedRange(hi-lo, n, k, 0, np, a[lo*k:], bp, c[lo*n:], ep, bi)
-	})
+	gemmPacked(useAVX2, workers, m, n, k, a, bp, c, ep, bias)
 }
 
-func zeroC(n int, c []float32) {
-	for i := 0; i < n; i++ {
-		c[i] = 0
+// gemmPacked is GemmPackedParallel with the tile implementation chosen
+// by the caller: asm selects the AVX2 tile (valid only where useAVX2
+// holds), otherwise the portable twin runs. Tests drive both.
+func gemmPacked(asm bool, workers, m, n, k int, a, bp, c []float32, ep Epilogue, bias []float32) {
+	checkPacked(m, n, k, a, bp, c, ep, bias)
+	clear(c[:m*n])
+	np := (n + packNR - 1) / packNR
+	tiles := (m + packMR - 1) / packMR
+	switch {
+	case workers <= 1:
+		gemmPackedRange(asm, m, n, k, 0, np, a, bp, c, ep, bias)
+	case tiles == 1:
+		ParallelRows(workers, np, func(plo, phi int) {
+			gemmPackedRange(asm, m, n, k, plo, phi, a, bp, c, ep, bias)
+		})
+	default:
+		rowBias := ep == EpBiasRow || ep == EpBiasRowReLU
+		ParallelRows(workers, tiles, func(lo, hi int) {
+			r0, r1 := lo*packMR, min(hi*packMR, m)
+			bi := bias
+			if rowBias {
+				bi = bias[r0:r1]
+			}
+			gemmPackedRange(asm, r1-r0, n, k, 0, np, a[r0*k:], bp, c[r0*n:], ep, bi)
+		})
 	}
 }
 
@@ -180,13 +188,14 @@ func zeroC(n int, c []float32) {
 // partial sums) on entry. Bias row indices are local to a (row-parallel
 // callers slice a, c and a row bias together); bias column indices are
 // global (panel-parallel callers pass the full column bias).
-func gemmPackedRange(m, n, k, p0, p1 int, a, bp, c []float32, ep Epilogue, bias []float32) {
+func gemmPackedRange(asm bool, m, n, k, p0, p1 int, a, bp, c []float32, ep Epilogue, bias []float32) {
 	var pa [packMR * packKC]float32
+	var edge [packMR * packNR]float32
 	for kc := 0; kc < k; kc += packKC {
 		kEnd := min(kc+packKC, k)
 		kcLen := kEnd - kc
-		// The epilogue fires only when the final k block drains the
-		// accumulators; earlier blocks store raw partial sums.
+		// The epilogue fires only when the final k block leaves the
+		// tile; earlier blocks store raw partial sums.
 		e := EpNone
 		if kEnd == k {
 			e = ep
@@ -195,7 +204,9 @@ func gemmPackedRange(m, n, k, p0, p1 int, a, bp, c []float32, ep Epilogue, bias 
 			mr := min(packMR, m-i0)
 			// Pack the active A tile k-major so the microkernel reads
 			// one contiguous stream; it stays L1-resident across every
-			// panel below.
+			// panel below. In a fringe tile the rows past mr keep
+			// whatever the previous tile left: their sums land in rows
+			// of the stack tile that are never copied back.
 			for r := 0; r < mr; r++ {
 				arow := a[(i0+r)*k+kc : (i0+r)*k+kEnd]
 				for kk, v := range arow {
@@ -205,70 +216,105 @@ func gemmPackedRange(m, n, k, p0, p1 int, a, bp, c []float32, ep Epilogue, bias 
 			for p := p0; p < p1; p++ {
 				j0 := p * packNR
 				jv := min(packNR, n-j0)
-				panel := bp[p*k*packNR+kc*packNR:]
+				panel := bp[p*k*packNR+kc*packNR : p*k*packNR+kEnd*packNR]
 				ct := c[i0*n+j0:]
 				if mr == packMR && jv == packNR {
-					micro2x4(kcLen, pa[:], panel, ct, n, e, bias, i0, j0)
-				} else {
-					microEdge(kcLen, mr, jv, pa[:], panel, ct, n, e, bias, i0, j0)
+					tile(asm, kcLen, pa[:], panel, ct, n)
+					if e != EpNone {
+						storeTile(ct, n, ct, n, mr, jv, e, bias, i0, j0)
+					}
+					continue
 				}
+				// Fringe: run the full tile on a zero-padded copy of the
+				// real mr×jv block, then copy back only that block.
+				clear(edge[:])
+				for r := 0; r < mr; r++ {
+					copy(edge[r*packNR:r*packNR+jv], ct[r*n:r*n+jv])
+				}
+				tile(asm, kcLen, pa[:], panel, edge[:], packNR)
+				storeTile(ct, n, edge[:], packNR, mr, jv, e, bias, i0, j0)
 			}
 		}
 	}
 }
 
-// micro2x4 is the register-tile microkernel: a full packMR×packNR tile
-// accumulated over kcLen k steps. Accumulators are seeded from C (zeros
-// or previous k blocks' partials) and every product is added in
-// ascending-k order, matching the reference kernel's rounding exactly.
-func micro2x4(kcLen int, pa, panel []float32, c []float32, ldc int, ep Epilogue, bias []float32, i0, j0 int) {
-	c0 := c[0*ldc : 0*ldc+4]
-	c1 := c[1*ldc : 1*ldc+4]
-	c00, c01, c02, c03 := c0[0], c0[1], c0[2], c0[3]
-	c10, c11, c12, c13 := c1[0], c1[1], c1[2], c1[3]
-	pa = pa[:2*kcLen]
-	panel = panel[:4*kcLen]
-	for kk := 0; kk < kcLen; kk++ {
-		t2 := 2 * kk
-		t4 := 4 * kk
-		a0, a1 := pa[t2], pa[t2+1]
-		b0, b1, b2, b3 := panel[t4], panel[t4+1], panel[t4+2], panel[t4+3]
-		c00 += a0 * b0
-		c01 += a0 * b1
-		c02 += a0 * b2
-		c03 += a0 * b3
-		c10 += a1 * b0
-		c11 += a1 * b1
-		c12 += a1 * b2
-		c13 += a1 * b3
+// tile accumulates kcLen k steps of the packMR×packNR product of the
+// packed A tile pa and one panel block into the tile of c at row stride
+// ldc, seeding from and storing back to c.
+func tile(asm bool, kcLen int, pa, panel, c []float32, ldc int) {
+	if asm {
+		tile6x16(kcLen, pa, panel, c, ldc)
+	} else {
+		tile6x16Go(kcLen, pa, panel, c, ldc)
 	}
-	if ep == EpNone {
-		c0[0], c0[1], c0[2], c0[3] = c00, c01, c02, c03
-		c1[0], c1[1], c1[2], c1[3] = c10, c11, c12, c13
-		return
-	}
-	c0[0] = applyEp(c00, ep, bias, i0, j0)
-	c0[1] = applyEp(c01, ep, bias, i0, j0+1)
-	c0[2] = applyEp(c02, ep, bias, i0, j0+2)
-	c0[3] = applyEp(c03, ep, bias, i0, j0+3)
-	c1[0] = applyEp(c10, ep, bias, i0+1, j0)
-	c1[1] = applyEp(c11, ep, bias, i0+1, j0+1)
-	c1[2] = applyEp(c12, ep, bias, i0+1, j0+2)
-	c1[3] = applyEp(c13, ep, bias, i0+1, j0+3)
 }
 
-// microEdge handles partial tiles at the m and n fringes (mr < packMR
-// and/or jv < packNR). Same seeding and ascending-k accumulation order
-// as micro2x4, one element at a time.
-func microEdge(kcLen, mr, jv int, pa, panel []float32, c []float32, ldc int, ep Epilogue, bias []float32, i0, j0 int) {
+// storeTile writes the top-left mr×jv block of the tile src (row stride
+// lds) to dst (row stride ldd) through the epilogue; src and dst may be
+// the same tile. i0 and j0 locate the block in C for the bias lookup.
+// Each element gets applyEp's arithmetic — the bias add, then the clamp
+// — with the epilogue switch hoisted out of the element loop.
+func storeTile(dst []float32, ldd int, src []float32, lds, mr, jv int, ep Epilogue, bias []float32, i0, j0 int) {
+	relu := ep == EpBiasColReLU || ep == EpBiasRowReLU
 	for r := 0; r < mr; r++ {
-		crow := c[r*ldc:]
-		for jj := 0; jj < jv; jj++ {
-			acc := crow[jj]
-			for kk := 0; kk < kcLen; kk++ {
-				acc += pa[kk*packMR+r] * panel[kk*packNR+jj]
+		d, s := dst[r*ldd:r*ldd+jv], src[r*lds:r*lds+jv]
+		switch ep {
+		case EpNone:
+			copy(d, s)
+		case EpBiasRow, EpBiasRowReLU:
+			b := bias[i0+r]
+			for jj, v := range s {
+				v += b
+				if relu && v < 0 {
+					v = 0
+				}
+				d[jj] = v
 			}
-			crow[jj] = applyEp(acc, ep, bias, i0+r, j0+jj)
+		case EpBiasCol, EpBiasColReLU:
+			b := bias[j0 : j0+jv]
+			for jj, v := range s {
+				v += b[jj]
+				if relu && v < 0 {
+					v = 0
+				}
+				d[jj] = v
+			}
+		}
+	}
+}
+
+// tile6x16Go is the portable twin of the AVX2 tile and its oracle: the
+// same packMR×packNR tile, seeded from c and summed in ascending k, run
+// as 2×4 register sub-tiles so the eight accumulators and six operands
+// of each fit the registers of any 64-bit target. Each product is
+// converted to float32 explicitly, which forbids the compiler from
+// fusing it into a multiply-add (the Go spec allows fusion otherwise,
+// and arm64 and GOAMD64=v3 builds do it).
+func tile6x16Go(kcLen int, pa, panel, c []float32, ldc int) {
+	pa = pa[:packMR*kcLen]
+	panel = panel[:packNR*kcLen]
+	for i := 0; i < packMR; i += 2 {
+		for j := 0; j < packNR; j += 4 {
+			c0 := c[i*ldc+j : i*ldc+j+4]
+			c1 := c[(i+1)*ldc+j : (i+1)*ldc+j+4]
+			c00, c01, c02, c03 := c0[0], c0[1], c0[2], c0[3]
+			c10, c11, c12, c13 := c1[0], c1[1], c1[2], c1[3]
+			for kk := 0; kk < kcLen; kk++ {
+				a := pa[kk*packMR+i : kk*packMR+i+2]
+				b := panel[kk*packNR+j : kk*packNR+j+4]
+				a0, a1 := a[0], a[1]
+				b0, b1, b2, b3 := b[0], b[1], b[2], b[3]
+				c00 += float32(a0 * b0)
+				c01 += float32(a0 * b1)
+				c02 += float32(a0 * b2)
+				c03 += float32(a0 * b3)
+				c10 += float32(a1 * b0)
+				c11 += float32(a1 * b1)
+				c12 += float32(a1 * b2)
+				c13 += float32(a1 * b3)
+			}
+			c0[0], c0[1], c0[2], c0[3] = c00, c01, c02, c03
+			c1[0], c1[1], c1[2], c1[3] = c10, c11, c12, c13
 		}
 	}
 }

@@ -49,6 +49,11 @@ const maxQuantK = MaxQuantK
 // pairs, i.e. four A rows per tile.
 const quantMRQ = 4
 
+// quantNR is the int8 kernel's panel width: micro4x4i8 reads four
+// offset bytes per k step. It is the int8 path's own constant, apart
+// from the float32 kernel's packNR.
+const quantNR = 4
+
 // QuantScale returns the symmetric scale for a tensor with the given
 // max-abs value: maxAbs/127, so the extreme values land exactly on
 // ±127. A degenerate (all-zero, empty or non-finite-free) tensor gets
@@ -191,9 +196,9 @@ func QuantizePackAInt8(m, k int, a []float32, scale float32, pa []uint64, rowSum
 }
 
 // PackedBInt8Len returns the byte count needed to pack a k×n int8 B
-// matrix into K×NR panels (same panel geometry as the float32 kernel).
+// matrix into K×NR panels of quantNR columns, the last one zero-padded.
 func PackedBInt8Len(k, n int) int {
-	return PackedBLen(k, n)
+	return (n + quantNR - 1) / quantNR * k * quantNR
 }
 
 // PackBTInt8 packs pre-quantized B from its transpose: qt is row-major
@@ -205,24 +210,24 @@ func PackBTInt8(k, n int, qt []int8, bp []uint8, colSum []int32) {
 	if len(qt) < k*n || len(bp) < PackedBInt8Len(k, n) || len(colSum) < n {
 		panic(fmt.Sprintf("tensor: packbt int8 buffer too small for k=%d n=%d (len qt=%d bp=%d colSum=%d)", k, n, len(qt), len(bp), len(colSum)))
 	}
-	np := (n + packNR - 1) / packNR
+	np := (n + quantNR - 1) / quantNR
 	for p := 0; p < np; p++ {
-		j0 := p * packNR
-		jv := min(packNR, n-j0)
-		dst := bp[p*k*packNR:]
+		j0 := p * quantNR
+		jv := min(quantNR, n-j0)
+		dst := bp[p*k*quantNR:]
 		for jj := 0; jj < jv; jj++ {
 			col := qt[(j0+jj)*k : (j0+jj)*k+k]
 			var s int32
 			for kk := 0; kk < k; kk++ {
 				q := int32(col[kk])
 				s += q
-				dst[kk*packNR+jj] = uint8(q + quantOffset)
+				dst[kk*quantNR+jj] = uint8(q + quantOffset)
 			}
 			colSum[j0+jj] = s
 		}
-		for jj := jv; jj < packNR; jj++ {
+		for jj := jv; jj < quantNR; jj++ {
 			for kk := 0; kk < k; kk++ {
-				dst[kk*packNR+jj] = 0
+				dst[kk*quantNR+jj] = 0
 			}
 		}
 	}
@@ -238,23 +243,23 @@ func QuantizePackBInt8(k, n int, b []float32, scale float32, bp []uint8, colSum 
 		panic(fmt.Sprintf("tensor: quantize-pack B buffer too small for k=%d n=%d (len b=%d bp=%d colSum=%d)", k, n, len(b), len(bp), len(colSum)))
 	}
 	inv := 1 / scale
-	np := (n + packNR - 1) / packNR
+	np := (n + quantNR - 1) / quantNR
 	for jj := 0; jj < n; jj++ {
 		colSum[jj] = 0
 	}
 	for p := 0; p < np; p++ {
-		j0 := p * packNR
-		jv := min(packNR, n-j0)
-		dst := bp[p*k*packNR:]
+		j0 := p * quantNR
+		jv := min(quantNR, n-j0)
+		dst := bp[p*k*quantNR:]
 		for kk := 0; kk < k; kk++ {
 			src := b[kk*n+j0:]
-			t := kk * packNR
+			t := kk * quantNR
 			for jj := 0; jj < jv; jj++ {
 				q := int32(quantizeOne(src[jj] * inv))
 				colSum[j0+jj] += q
 				dst[t+jj] = uint8(q + quantOffset)
 			}
-			for jj := jv; jj < packNR; jj++ {
+			for jj := jv; jj < quantNR; jj++ {
 				dst[t+jj] = 0
 			}
 		}
@@ -291,7 +296,7 @@ func checkPackedInt8(m, n, k int, pa []uint64, rowSum []int32, bp []uint8, colSu
 // overwritten; nothing is allocated.
 func GemmPackedInt8(m, n, k int, pa []uint64, rowSum []int32, bp []uint8, colSum []int32, c []float32, scale float32, ep Epilogue, bias []float32) {
 	checkPackedInt8(m, n, k, pa, rowSum, bp, colSum, c, ep, bias)
-	np := (n + packNR - 1) / packNR
+	np := (n + quantNR - 1) / quantNR
 	gemmPackedInt8Range(m, n, k, 0, np, pa, rowSum, bp, colSum, c, scale, ep, bias)
 }
 
@@ -302,7 +307,7 @@ func GemmPackedInt8(m, n, k int, pa []uint64, rowSum []int32, bp []uint8, colSum
 // serial result.
 func GemmPackedInt8Parallel(workers, m, n, k int, pa []uint64, rowSum []int32, bp []uint8, colSum []int32, c []float32, scale float32, ep Epilogue, bias []float32) {
 	checkPackedInt8(m, n, k, pa, rowSum, bp, colSum, c, ep, bias)
-	np := (n + packNR - 1) / packNR
+	np := (n + quantNR - 1) / quantNR
 	if workers <= 1 {
 		gemmPackedInt8Range(m, n, k, 0, np, pa, rowSum, bp, colSum, c, scale, ep, bias)
 		return
@@ -334,11 +339,11 @@ func gemmPackedInt8Range(m, n, k, p0, p1 int, pa []uint64, rowSum []int32, bp []
 	for i0 := 0; i0 < m; i0 += quantMRQ {
 		mr := min(quantMRQ, m-i0)
 		for p := p0; p < p1; p++ {
-			j0 := p * packNR
-			jv := min(packNR, n-j0)
-			panel := bp[p*k*packNR : p*k*packNR+k*packNR]
+			j0 := p * quantNR
+			jv := min(quantNR, n-j0)
+			panel := bp[p*k*quantNR : p*k*quantNR+k*quantNR]
 			ct := c[i0*n+j0:]
-			if mr == quantMRQ && jv == packNR {
+			if mr == quantMRQ && jv == quantNR {
 				pr := i0 >> 1
 				micro4x4i8(k,
 					pa[pr*k:pr*k+k], pa[(pr+1)*k:(pr+1)*k+k],
@@ -421,7 +426,7 @@ func microEdgeI8(k, mr, jv int, pa []uint64, panel []uint8, c []float32, ldc int
 			var acc uint64
 			for kk := 0; kk < k; kk++ {
 				ua := (prow[kk] >> shift) & 0xFFFFFFFF
-				acc += ua * uint64(panel[kk*packNR+jj])
+				acc += ua * uint64(panel[kk*quantNR+jj])
 			}
 			crow[jj] = applyEp(laneDot(uint32(acc), rowSum[i0+r], colSum[j0+jj], k, scale), ep, bias, i0+r, j0+jj)
 		}

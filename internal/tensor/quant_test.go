@@ -138,6 +138,13 @@ func packInt8Operands(m, n, k int, af, bf []float32) (a, b []int8, pa []uint64, 
 	return a, b, pa, rowSum, bp, colSum, scaleA * scaleB
 }
 
+// packedShapes cover the int8 kernel's 4×4 tiles, fringes (m, n not
+// multiples of 4), single rows/columns, and long k extents.
+var packedShapes = [][3]int{
+	{1, 1, 1}, {4, 4, 4}, {3, 5, 7}, {5, 9, 3}, {17, 23, 31},
+	{64, 64, 64}, {33, 65, 300}, {2, 257, 129}, {1, 301, 70}, {96, 121, 363},
+}
+
 func TestGemmPackedInt8MatchesNaive(t *testing.T) {
 	rng := NewRNG(41)
 	for _, s := range packedShapes {
